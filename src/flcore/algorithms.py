@@ -16,7 +16,7 @@ All updates are pure functions; the caller owns state and scheduling.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -24,7 +24,22 @@ import numpy as np
 from .errors import ConfigError, NumericError, ShapeError
 from .privacy import clip_gradient
 
-ALGO_KINDS = ("fedavg", "iceadmm", "iiadmm")
+
+@dataclass(frozen=True)
+class Algorithm:
+    """The facts about one algorithm kind that modules outside this one need."""
+
+    code: int  # algorithm byte in JOIN_ACK
+    vectors_up: int  # vectors per LOCAL_UPDATE: z, then lambda for ICEADMM
+    admm: bool  # uses rho/zeta; FedAvg uses eta/beta instead
+
+
+ALGORITHMS = {
+    "fedavg": Algorithm(code=0, vectors_up=1, admm=False),
+    "iceadmm": Algorithm(code=1, vectors_up=2, admm=True),
+    "iiadmm": Algorithm(code=2, vectors_up=1, admm=True),
+}
+ALGO_KINDS = tuple(ALGORITHMS)
 
 # grad_fn(z, batch) -> raw batch-mean gradient at z
 GradFn = Callable[[np.ndarray, object], np.ndarray]
@@ -49,16 +64,16 @@ class AlgoConfig:
     def validate(self) -> None:
         if self.kind not in ALGO_KINDS:
             raise ConfigError(f"unknown algorithm kind {self.kind!r}; expected one of {ALGO_KINDS}")
-        if self.kind == "fedavg":
-            if self.eta <= 0:
-                raise ConfigError(f"fedavg needs a positive step size, got {self.eta}")
-            if not 0.0 <= self.beta < 1.0:
-                raise ConfigError(f"momentum must lie in [0, 1), got {self.beta}")
-        else:
+        if ALGORITHMS[self.kind].admm:
             if self.rho <= 0:
                 raise ConfigError(f"{self.kind} needs rho > 0, got {self.rho}")
             if self.zeta < 0:
                 raise ConfigError(f"zeta must be nonnegative, got {self.zeta}")
+        else:
+            if self.eta <= 0:
+                raise ConfigError(f"{self.kind} needs a positive step size, got {self.eta}")
+            if not 0.0 <= self.beta < 1.0:
+                raise ConfigError(f"momentum must lie in [0, 1), got {self.beta}")
         if self.local_steps < 1:
             raise ConfigError(f"local_steps must be positive, got {self.local_steps}")
         if self.batch_size < 1:
@@ -73,22 +88,6 @@ class AlgoConfig:
         if self.rho_gamma == 1.0:
             return self.rho
         return min(self.rho_max, self.rho * self.rho_gamma ** (round_num - 1))
-
-
-@dataclass
-class ClientState:
-    client_id: int
-    z: np.ndarray
-    lam: np.ndarray
-    round_num: int = 0
-
-
-@dataclass
-class ServerState:
-    w: np.ndarray
-    duals: list[np.ndarray] = field(default_factory=list)
-    weights: list[float] = field(default_factory=list)
-    round_num: int = 0
 
 
 def _same_dim(*vectors: np.ndarray) -> None:

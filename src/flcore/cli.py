@@ -1,4 +1,4 @@
-"""Command-line surface: simulate, serve, client, bench, sweep, gradcheck.
+"""Command-line surface: simulate, serve, client, sweep, gradcheck.
 
 Exit codes are a stable contract: 0 success, 1 runtime failure, 2 usage or
 configuration failure.  Logs go to stderr (FLC_LOG={error|info|debug});
@@ -16,14 +16,12 @@ import math
 import os
 import sys
 
-import numpy as np
-
 from . import rng
-from .config import RunConfig, config_to_dict, load_config, model_dim, parse_config
+from .config import RunConfig, config_to_dict, load_config
 from .errors import ConfigError, FlcoreError
 from .models import Batch, ModelSpec, grad_check, param_count
 from .runner import epsilon_sweep, metrics_line, train, write_sweep_csv
-from .transport import TcpServerCarrier, payload_size
+from .transport import TcpServerCarrier
 from .worker import run_client
 
 log = logging.getLogger("flcore.cli")
@@ -52,15 +50,11 @@ def _parse_bool(value: str) -> bool:
     raise argparse.ArgumentTypeError(f"expected true/false, got {value!r}")
 
 
-def _echo_config(cfg: RunConfig) -> None:
-    print("effective config: " + json.dumps(config_to_dict(cfg), sort_keys=True), file=sys.stderr)
-
-
 def _load(args) -> RunConfig:
     cfg = load_config(args.config)
     if getattr(args, "seed", None) is not None:
         cfg = dataclasses.replace(cfg, seed=args.seed)
-    _echo_config(cfg)
+    print("effective config: " + json.dumps(config_to_dict(cfg), sort_keys=True), file=sys.stderr)
     return cfg
 
 
@@ -91,57 +85,6 @@ def cmd_client(args) -> int:
     cfg = _load(args)
     run_client(args.connect, args.client_id, cfg)
     log.info("client %d finished", args.client_id)
-    return 0
-
-
-def _bench_config(algorithm: str, clients: int, dim: int, rounds: int) -> RunConfig:
-    if dim < 2:
-        raise ConfigError("bench needs --dim >= 2 (weights plus a bias)")
-    samples = max(4 * clients, 16)
-    return parse_config(
-        {
-            "model": {"kind": "linear-regression", "input_dim": dim - 1, "output_dim": 1},
-            "algo": {
-                "kind": algorithm,
-                "rho": 1.0,
-                "zeta": 0.0,
-                "eta": 0.01,
-                "local_steps": 1,
-                "batch_size": samples,
-                "rounds": rounds,
-            },
-            "data": {
-                "source": "synthetic-regression",
-                "n": samples,
-                "input_dim": dim - 1,
-                "noise": 0.1,
-                "test_fraction": 0.0,
-            },
-            "run": {"clients": clients, "seed": 0},
-        }
-    )
-
-
-def cmd_bench(args) -> int:
-    cfg = _bench_config(args.algorithm, args.clients, args.dim, args.rounds)
-    _echo_config(cfg)
-    record = train(cfg)
-    m = model_dim(cfg)
-    print(f"algorithm={args.algorithm} clients={args.clients} dim={m} rounds={args.rounds}")
-    print(f"payload_bytes_per_client_update: {payload_size(args.algorithm, m)}")
-    if record.metrics:
-        per_round = record.metrics[0].payload_bytes_up
-        print(f"payload_bytes_up_per_round: {per_round}")
-    steady = record.metrics[1:]  # round 1 excluded as warm-up
-    if not steady:
-        print("t_local_ms mean: n/a (need at least 2 rounds to exclude warm-up)")
-        print("t_comm_ms mean: n/a")
-        print("t_global_ms mean: n/a")
-        return 0
-    print(f"rounds averaged: 2..{args.rounds} (round 1 excluded as warm-up)")
-    print(f"t_local_ms mean: {np.mean([r.t_local_ms for r in steady]):.3f}")
-    print(f"t_comm_ms mean: {np.mean([r.t_comm_ms for r in steady]):.3f}")
-    print(f"t_global_ms mean: {np.mean([r.t_global_ms for r in steady]):.3f}")
     return 0
 
 
@@ -224,13 +167,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=cmd_client)
-
-    p = sub.add_parser("bench", help="measure per-round time and payload bytes")
-    p.add_argument("--algorithm", choices=("fedavg", "iceadmm", "iiadmm"), required=True)
-    p.add_argument("--clients", type=int, default=4)
-    p.add_argument("--dim", type=int, default=1000, help="model dimension m")
-    p.add_argument("--rounds", type=int, default=5)
-    p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("sweep", help="sweep the privacy budget over seeds")
     p.add_argument("--config", required=True)

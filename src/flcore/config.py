@@ -1,21 +1,24 @@
 """Run configuration: JSON schema, validation, and the data pipeline.
 
 A config file has five sections mirroring RunConfig: model, algo, privacy,
-data, run.  One config fully determines a run; the same file plus the same
-seed reproduces byte-identical metrics.  Epsilon accepts the literal string
-"inf" for the non-private setting.
+data, run.  Each section's keys and types are the fields of its dataclass
+(ModelSpec, AlgoConfig, PrivacyConfig, DataConfig, and RunConfig's own
+scalars), so parsing and the echo follow those classes.  One config fully
+determines a run; the same file plus the same seed reproduces byte-identical
+metrics.  Epsilon accepts the literal string "inf" for the non-private setting.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+import typing
+from dataclasses import dataclass, field, fields
 
 from .algorithms import AlgoConfig
 from .data import Dataset, Partition, generate_synthetic, load_csv, load_idx, partition, train_test_split
 from .errors import ConfigError
-from .models import ModelSpec, param_count
+from .models import ModelSpec
 from .privacy import PrivacyConfig
 
 DATA_SOURCES = ("synthetic-regression", "synthetic-blobs", "csv", "idx")
@@ -69,122 +72,72 @@ class RunConfig:
         return self.seed if self.data.seed is None else self.data.seed
 
 
-def _take(section: dict, name: str, allowed: dict) -> dict:
-    """Pull known keys from a config section, rejecting typos."""
-    unknown = set(section) - set(allowed)
+# (section, field name) -> JSON key where the two differ.
+_ALIASES = {("privacy", "clip_c"): "clip"}
+# File defaults for keys whose dataclass field has no default, or another one.
+_FILE_DEFAULTS = {
+    "model": {"kind": "softmax", "input_dim": 2, "output_dim": 2},
+    "algo": {"kind": "fedavg"},
+}
+# Keys with an infinite default, echoed as "inf" rather than JSON's nonstandard Infinity.
+_INF_KEYS = {"rho_max", "epsilon_bar"}
+# Section name -> dataclass; the run section holds RunConfig's own scalars.
+_SECTIONS = {"model": ModelSpec, "algo": AlgoConfig, "privacy": PrivacyConfig, "data": DataConfig, "run": RunConfig}
+
+
+def _section_fields(name: str) -> list[tuple[str, str, type]]:
+    """(JSON key, field name, field type) for each key of one config section."""
+    cls = _SECTIONS[name]
+    hints = typing.get_type_hints(cls)
+    return [
+        (_ALIASES.get((name, f.name), f.name), f.name, hints[f.name]) for f in fields(cls) if f.name not in _SECTIONS
+    ]
+
+
+_FIELDS = {name: _section_fields(name) for name in _SECTIONS}
+
+
+def _coerce(value, hint, where: str):
+    """Convert one JSON value to its field's type, or raise a ConfigError naming the key.
+
+    Numbers convert as int() / float() do, so "inf" reads as infinity; bool and
+    str fields take only JSON booleans and strings; Optional fields take null.
+    """
+    args = typing.get_args(hint)
+    if type(None) in args:
+        if value is None:
+            return None
+        hint = next(a for a in args if a is not type(None))
+    if hint in (int, float):
+        try:
+            return hint(value)
+        except (TypeError, ValueError, OverflowError):
+            pass
+    elif isinstance(value, hint):
+        return value
+    raise ConfigError(f"{where} must be {hint.__name__}, got {value!r}")
+
+
+def _parse_section(obj: dict, name: str) -> dict:
+    section = obj.get(name, {})
+    if not isinstance(section, dict):
+        raise ConfigError(f"[{name}] must be a JSON object, got {section!r}")
+    unknown = set(section) - {key for key, _, _ in _FIELDS[name]}
     if unknown:
         raise ConfigError(f"unknown keys in [{name}]: {sorted(unknown)}")
-    out = dict(allowed)
-    out.update(section)
-    return out
-
-
-def _parse_epsilon(value) -> float:
-    if isinstance(value, str):
-        if value.strip().lower() in ("inf", "infinity"):
-            return math.inf
-        raise ConfigError(f"epsilon_bar must be a number or 'inf', got {value!r}")
-    eps = float(value)
-    if not eps > 0:
-        raise ConfigError(f"epsilon_bar must be positive, got {eps}")
-    return eps
+    values = {**_FILE_DEFAULTS.get(name, {}), **section}
+    return {attr: _coerce(values[key], hint, f"{name}.{key}") for key, attr, hint in _FIELDS[name] if key in values}
 
 
 def parse_config(obj: dict) -> RunConfig:
     if not isinstance(obj, dict):
         raise ConfigError("config root must be a JSON object")
-    unknown = set(obj) - {"model", "algo", "privacy", "data", "run"}
+    unknown = set(obj) - set(_SECTIONS)
     if unknown:
         raise ConfigError(f"unknown config sections: {sorted(unknown)}")
-
-    m = _take(obj.get("model", {}), "model", {"kind": "softmax", "input_dim": 2, "output_dim": 2, "hidden_dim": 0})
-    model = ModelSpec(m["kind"], int(m["input_dim"]), int(m["output_dim"]), int(m["hidden_dim"]))
-
-    a = _take(
-        obj.get("algo", {}),
-        "algo",
-        {
-            "kind": "fedavg",
-            "rho": 1.0,
-            "zeta": 0.0,
-            "eta": 0.1,
-            "beta": 0.0,
-            "local_steps": 1,
-            "batch_size": 64,
-            "rounds": 1,
-            "rho_gamma": 1.0,
-            "rho_max": math.inf,
-        },
-    )
-    algo = AlgoConfig(
-        kind=a["kind"],
-        rho=float(a["rho"]),
-        zeta=float(a["zeta"]),
-        eta=float(a["eta"]),
-        beta=float(a["beta"]),
-        local_steps=int(a["local_steps"]),
-        batch_size=int(a["batch_size"]),
-        rounds=int(a["rounds"]),
-        rho_gamma=float(a["rho_gamma"]),
-        rho_max=float(a["rho_max"]),
-    )
-
-    p = _take(obj.get("privacy", {}), "privacy", {"enabled": False, "epsilon_bar": "inf", "clip": 1.0})
-    privacy = PrivacyConfig(enabled=bool(p["enabled"]), epsilon_bar=_parse_epsilon(p["epsilon_bar"]), clip_c=float(p["clip"]))
-
-    d = _take(
-        obj.get("data", {}),
-        "data",
-        {
-            "source": "synthetic-blobs",
-            "n": 400,
-            "input_dim": 2,
-            "classes": 2,
-            "noise": 0.5,
-            "seed": None,
-            "partition": "equal",
-            "shards_per_client": 2,
-            "test_fraction": 0.2,
-            "path": None,
-            "label_column": -1,
-            "has_header": False,
-            "images_path": None,
-            "labels_path": None,
-        },
-    )
-    data = DataConfig(
-        source=d["source"],
-        n=int(d["n"]),
-        input_dim=int(d["input_dim"]),
-        classes=int(d["classes"]),
-        noise=float(d["noise"]),
-        seed=None if d["seed"] is None else int(d["seed"]),
-        partition=d["partition"],
-        shards_per_client=int(d["shards_per_client"]),
-        test_fraction=float(d["test_fraction"]),
-        path=d["path"],
-        label_column=int(d["label_column"]),
-        has_header=bool(d["has_header"]),
-        images_path=d["images_path"],
-        labels_path=d["labels_path"],
-    )
-
-    r = _take(
-        obj.get("run", {}),
-        "run",
-        {"clients": 4, "seed": 0, "eval_every": 1, "timeout_s": 60.0, "out": None},
-    )
-    cfg = RunConfig(
-        model=model,
-        algo=algo,
-        privacy=privacy,
-        data=data,
-        clients=int(r["clients"]),
-        seed=int(r["seed"]),
-        eval_every=int(r["eval_every"]),
-        timeout_s=float(r["timeout_s"]),
-        out=r["out"],
-    )
+    sections = {name: _parse_section(obj, name) for name in _SECTIONS}
+    run = sections.pop("run")
+    cfg = RunConfig(**{name: _SECTIONS[name](**kwargs) for name, kwargs in sections.items()}, **run)
     cfg.validate()
     return cfg
 
@@ -202,55 +155,14 @@ def load_config(path: str) -> RunConfig:
 
 def config_to_dict(cfg: RunConfig) -> dict:
     """The effective config, echoable before a run for reproducibility."""
-    eps = cfg.privacy.epsilon_bar
-    return {
-        "model": {
-            "kind": cfg.model.kind,
-            "input_dim": cfg.model.input_dim,
-            "output_dim": cfg.model.output_dim,
-            "hidden_dim": cfg.model.hidden_dim,
-        },
-        "algo": {
-            "kind": cfg.algo.kind,
-            "rho": cfg.algo.rho,
-            "zeta": cfg.algo.zeta,
-            "eta": cfg.algo.eta,
-            "beta": cfg.algo.beta,
-            "local_steps": cfg.algo.local_steps,
-            "batch_size": cfg.algo.batch_size,
-            "rounds": cfg.algo.rounds,
-            "rho_gamma": cfg.algo.rho_gamma,
-            "rho_max": "inf" if math.isinf(cfg.algo.rho_max) else cfg.algo.rho_max,
-        },
-        "privacy": {
-            "enabled": cfg.privacy.enabled,
-            "epsilon_bar": "inf" if math.isinf(eps) else eps,
-            "clip": cfg.privacy.clip_c,
-        },
-        "data": {
-            "source": cfg.data.source,
-            "n": cfg.data.n,
-            "input_dim": cfg.data.input_dim,
-            "classes": cfg.data.classes,
-            "noise": cfg.data.noise,
-            "seed": cfg.data.seed,
-            "partition": cfg.data.partition,
-            "shards_per_client": cfg.data.shards_per_client,
-            "test_fraction": cfg.data.test_fraction,
-            "path": cfg.data.path,
-            "label_column": cfg.data.label_column,
-            "has_header": cfg.data.has_header,
-            "images_path": cfg.data.images_path,
-            "labels_path": cfg.data.labels_path,
-        },
-        "run": {
-            "clients": cfg.clients,
-            "seed": cfg.seed,
-            "eval_every": cfg.eval_every,
-            "timeout_s": cfg.timeout_s,
-            "out": cfg.out,
-        },
-    }
+    out = {}
+    for name, section_fields in _FIELDS.items():
+        obj = cfg if name == "run" else getattr(cfg, name)
+        out[name] = {}
+        for key, attr, _ in section_fields:
+            value = getattr(obj, attr)
+            out[name][key] = "inf" if key in _INF_KEYS and math.isinf(value) else value
+    return out
 
 
 def build_data(cfg: RunConfig) -> tuple[Dataset, Dataset, Partition]:
@@ -286,7 +198,3 @@ def build_data(cfg: RunConfig) -> tuple[Dataset, Dataset, Partition]:
     train, test = train_test_split(full, d.test_fraction, seed)
     part = partition(train, cfg.clients, d.partition, seed, d.shards_per_client)
     return train, test, part
-
-
-def model_dim(cfg: RunConfig) -> int:
-    return param_count(cfg.model)

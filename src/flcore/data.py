@@ -61,7 +61,6 @@ class Partition:
 class BatchPlan:
     batch_size: int
     shuffle_seed: int
-    drop_last: bool = False
 
 
 def generate_synthetic(
@@ -186,7 +185,7 @@ def batches(
     """Seeded mini-batches covering ``indices`` exactly once.
 
     The shuffle is keyed by (shuffle_seed, client, round, epoch); the last
-    batch may be smaller (drop_last is fixed false).
+    batch may be smaller.
     """
     if len(indices) == 0:
         raise ConfigError("cannot batch an empty index set")

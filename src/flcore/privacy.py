@@ -38,11 +38,10 @@ class PrivacyConfig:
     clip_c: float = 1.0
 
     def validate(self) -> None:
-        if self.enabled:
-            if not self.epsilon_bar > 0:
-                raise ConfigError(f"epsilon_bar must be positive, got {self.epsilon_bar}")
-            if not self.clip_c > 0:
-                raise ConfigError(f"clip_c must be positive, got {self.clip_c}")
+        if not self.epsilon_bar > 0:
+            raise ConfigError(f"epsilon_bar must be positive, got {self.epsilon_bar}")
+        if self.enabled and not self.clip_c > 0:
+            raise ConfigError(f"clip_c must be positive, got {self.clip_c}")
 
     @property
     def is_private(self) -> bool:

@@ -3,9 +3,8 @@
 Each round: broadcast w, gather every client's update in id order, apply the
 dual step (IIADMM) and then the global aggregate, validate, append one metrics
 line.  The metrics file is a deterministic record: with a fixed config and
-seed, two runs (on either carrier) produce byte-identical files.  Wall-clock
-timings are therefore kept in memory only (RunRecord / bench); the file writes
-their schema keys with 0.0.
+seed, two runs (on either carrier) produce byte-identical files, so the
+file's timing keys are written as 0.0; ``flbench/`` measures timings.
 """
 
 from __future__ import annotations
@@ -13,13 +12,12 @@ from __future__ import annotations
 import json
 import logging
 import math
-import time
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import rng
-from .algorithms import dual_update, fedavg_global, iceadmm_global, iiadmm_global
+from .algorithms import ALGORITHMS, dual_update, fedavg_global, iceadmm_global, iiadmm_global
 from .config import RunConfig, build_data
 from .data import Dataset
 from .errors import ConfigError, FlcoreError, ProtocolError
@@ -29,20 +27,6 @@ from .transport import InProcessCarrier, RoundMetrics, SessionConfig, decode_vec
 from .worker import ClientWorker
 
 log = logging.getLogger("flcore.runner")
-
-METRIC_KEYS = (
-    "round",
-    "train_loss",
-    "test_acc",
-    "consensus_residual",
-    "bytes_up",
-    "bytes_down",
-    "payload_bytes_up",
-    "t_local_ms",
-    "t_comm_ms",
-    "t_global_ms",
-)
-
 
 @dataclass
 class RunRecord:
@@ -56,7 +40,7 @@ def metrics_line(m: RoundMetrics) -> str:
 
     Timing keys are part of the schema but are written as 0.0: wall clock is
     not a function of (config, seed) and would break the byte-reproducibility
-    of the file.  Measured timings stay on the in-memory RoundMetrics.
+    of the file.
     """
     obj = {
         "round": m.round_num,
@@ -103,7 +87,7 @@ def train(
 
     With carrier=None an in-process carrier is built from the config.  A
     pre-started TCP carrier may be passed instead; the trajectory is the same
-    either way.  ``on_round_end(t, w, duals, z_list, carrier)`` is a test hook.
+    either way.  ``on_round_end(t, w, duals, carrier)`` is a test hook.
     """
     config.validate()
     spec, algo, privacy = config.model, config.algo, config.privacy
@@ -154,13 +138,10 @@ def _run_round(config, carrier, t, w, duals, weights, views, test_data):
     rho_t = algo.rho_at(t)
 
     carrier.reset_round_bytes()
-    t0 = time.perf_counter()
     carrier.broadcast_model(t, w)
-    t1 = time.perf_counter()
     envelopes = carrier.gather_updates(t, config.timeout_s)
-    t2 = time.perf_counter()
 
-    expected = 2 if algo.kind == "iceadmm" else 1
+    expected = ALGORITHMS[algo.kind].vectors_up
     z_list, lam_list = [], []
     for env in envelopes:
         vectors = decode_vectors(env.payload)
@@ -183,7 +164,6 @@ def _run_round(config, carrier, t, w, duals, weights, views, test_data):
         w_new = iceadmm_global(z_list, lam_list, rho_t)
     else:
         w_new = fedavg_global(z_list, weights)
-    t3 = time.perf_counter()
 
     train_loss = 0.0
     residual = 0.0
@@ -196,14 +176,6 @@ def _run_round(config, carrier, t, w, duals, weights, views, test_data):
     if test_data.size and (t % config.eval_every == 0 or t == algo.rounds):
         test_loss, test_acc = validate(spec, w_new, test_data)
 
-    compute_s = getattr(carrier, "last_compute_s", None)
-    if compute_s is not None:
-        t_local_ms = compute_s * 1e3
-        t_comm_ms = max(0.0, (t2 - t0) - compute_s) * 1e3
-    else:
-        t_local_ms = (t2 - t1) * 1e3
-        t_comm_ms = (t1 - t0) * 1e3
-
     rb = carrier.round_bytes
     metrics = RoundMetrics(
         round_num=t,
@@ -214,9 +186,6 @@ def _run_round(config, carrier, t, w, duals, weights, views, test_data):
         bytes_up=rb.bytes_up,
         bytes_down=rb.bytes_down,
         payload_bytes_up=rb.payload_bytes_up,
-        t_local_ms=t_local_ms,
-        t_comm_ms=t_comm_ms,
-        t_global_ms=(t3 - t2) * 1e3,
     )
     return w_new, duals, metrics
 

@@ -34,6 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .algorithms import ALGORITHMS
 from .errors import ProtocolError, TransportError
 from .models import ModelSpec
 
@@ -48,10 +49,10 @@ JOIN, JOIN_ACK, GLOBAL_MODEL, LOCAL_UPDATE, DONE, ERROR = range(6)
 KIND_NAMES = ("JOIN", "JOIN_ACK", "GLOBAL_MODEL", "LOCAL_UPDATE", "DONE", "ERROR")
 
 MAX_PAYLOAD = 1 << 32
+_CONNECT_RETRY_S = 0.05
 
-ALGO_CODES = {"fedavg": 0, "iceadmm": 1, "iiadmm": 2}
 MODEL_CODES = {"linear-regression": 0, "softmax": 1, "mlp1": 2}
-_ALGO_FROM_CODE = {v: k for k, v in ALGO_CODES.items()}
+_ALGO_FROM_CODE = {algo.code: kind for kind, algo in ALGORITHMS.items()}
 _MODEL_FROM_CODE = {v: k for k, v in MODEL_CODES.items()}
 
 
@@ -69,7 +70,6 @@ class RoundBytes:
 
     bytes_down: int = 0
     bytes_up: int = 0
-    payload_bytes_down: int = 0
     payload_bytes_up: int = 0
 
 
@@ -83,9 +83,6 @@ class RoundMetrics:
     bytes_up: int = 0
     bytes_down: int = 0
     payload_bytes_up: int = 0
-    t_local_ms: float = 0.0
-    t_comm_ms: float = 0.0
-    t_global_ms: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -164,8 +161,7 @@ def payload_size(algo_kind: str, m: int) -> int:
     """Upstream LOCAL_UPDATE payload bytes for a model of dimension m."""
     if m < 1:
         raise ProtocolError(f"model dimension must be positive, got {m}")
-    per_vector = 8 + 8 * m
-    return 2 * per_vector if algo_kind == "iceadmm" else per_vector
+    return ALGORITHMS[algo_kind].vectors_up * (8 + 8 * m)
 
 
 _ACK_HEAD = struct.Struct("<BBIIII")
@@ -173,7 +169,7 @@ _ACK_HEAD = struct.Struct("<BBIIII")
 
 def encode_join_ack(session: SessionConfig) -> bytes:
     head = _ACK_HEAD.pack(
-        ALGO_CODES[session.algo_kind],
+        ALGORITHMS[session.algo_kind].code,
         MODEL_CODES[session.model.kind],
         session.model.input_dim,
         session.model.output_dim,
@@ -254,7 +250,6 @@ class InProcessCarrier:
         self.workers = sorted(workers, key=lambda w: w.client_id)
         self.parallel = parallel
         self.round_bytes = RoundBytes()
-        self.last_compute_s = 0.0
         self._pending: list[bytes] = []
 
     @property
@@ -276,26 +271,18 @@ class InProcessCarrier:
     def broadcast_model(self, round_num: int, w: np.ndarray) -> None:
         frame = encode_envelope(Envelope(GLOBAL_MODEL, round_num, 0, encode_vector(w)))
         self.round_bytes.bytes_down += len(frame) * len(self.workers)
-        self.round_bytes.payload_bytes_down += (len(frame) - HEADER_SIZE) * len(self.workers)
-
-        elapsed: list[float] = []
 
         def run(worker) -> bytes:
-            begin = time.perf_counter()
             env = decode_envelope(frame)
             arrays = worker.handle_global(env.round_num, decode_vectors(env.payload)[0])
             reply = Envelope(LOCAL_UPDATE, env.round_num, worker.client_id, encode_update_payload(arrays))
-            out = encode_envelope(reply)
-            elapsed.append(time.perf_counter() - begin)
-            return out
+            return encode_envelope(reply)
 
         if self.parallel and len(self.workers) > 1:
             with ThreadPoolExecutor(max_workers=len(self.workers)) as pool:
                 self._pending = list(pool.map(run, self.workers))
-            self.last_compute_s = max(elapsed)
         else:
             self._pending = [run(worker) for worker in self.workers]
-            self.last_compute_s = sum(elapsed)
 
     def gather_updates(self, round_num: int, timeout_s: float = 60.0) -> list[Envelope]:
         collector = _UpdateCollector(self.num_clients, round_num, self.round_bytes)
@@ -411,7 +398,6 @@ class TcpServerCarrier:
         for cid in sorted(self._conns):
             self._conns[cid].sendall(frame)
             self.round_bytes.bytes_down += len(frame)
-            self.round_bytes.payload_bytes_down += len(frame) - HEADER_SIZE
 
     def gather_updates(self, round_num: int, timeout_s: float = 60.0) -> list[Envelope]:
         collector = _UpdateCollector(self.num_clients, round_num, self.round_bytes)
@@ -451,14 +437,26 @@ class TcpServerCarrier:
 
 
 class TcpClientChannel:
-    """Client end of the protocol: JOIN, then rounds until DONE."""
+    """Client end of the protocol: JOIN, then rounds until DONE.
+
+    A refused connection is retried until ``timeout_s`` has passed, so a
+    client may be started before its server is listening.
+    """
 
     def __init__(self, addr: str, client_id: int, timeout_s: float = 60.0):
         host, _, port = addr.rpartition(":")
         if not host:
             raise TransportError(f"address {addr!r} must look like HOST:PORT")
         self.client_id = client_id
-        self._sock = socket.create_connection((host, int(port)), timeout=timeout_s)
+        deadline = time.monotonic() + timeout_s
+        while True:
+            try:
+                self._sock = socket.create_connection((host, int(port)), timeout=timeout_s)
+                break
+            except ConnectionRefusedError as exc:
+                if time.monotonic() >= deadline:
+                    raise TransportError(f"no server at {addr} within {timeout_s:g} s: {exc}") from exc
+                time.sleep(_CONNECT_RETRY_S)
         self._sock.settimeout(timeout_s)
 
     def join(self) -> SessionConfig:

@@ -1,6 +1,7 @@
 import json
 import socket
 import threading
+import time
 
 import pytest
 
@@ -49,6 +50,12 @@ class TestSimulate:
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"algo": {"kind": "sgd"}}))
         assert main(["simulate", "--config", str(bad)]) == 2
+
+    def test_uncoercible_value_exits_2(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"algo": {"rounds": "ten"}}))
+        assert main(["simulate", "--config", str(bad)]) == 2
+        assert "algo.rounds" in capsys.readouterr().err
 
     def test_parallel_flag_does_not_change_output(self, config_path, tmp_path):
         a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
@@ -102,6 +109,31 @@ class TestServeClient:
         assert results["serve"] == 0 and results[0] == 0 and results[1] == 0
         assert tcp_out.read_bytes() == sim_out.read_bytes()
 
+    def test_client_started_before_server(self, config_path, tmp_path):
+        sim_out = tmp_path / "sim.jsonl"
+        assert main(["simulate", "--config", config_path, "--out", str(sim_out)]) == 0
+
+        port = free_port()
+        tcp_out = tmp_path / "tcp.jsonl"
+        results = {}
+
+        def client(cid):
+            results[cid] = main(["client", "--connect", f"127.0.0.1:{port}", "--client-id", str(cid), "--config", config_path])
+
+        client_threads = [threading.Thread(target=client, args=(cid,)) for cid in range(2)]
+        for t in client_threads:
+            t.start()
+        # The clients get refused until the server binds; they must retry.
+        time.sleep(0.3)
+        serve_args = ["serve", "--bind", f"127.0.0.1:{port}", "--config", config_path, "--out", str(tcp_out)]
+        assert main(serve_args) == 0
+        for t in client_threads:
+            t.join(timeout=60.0)
+            assert not t.is_alive()
+
+        assert results == {0: 0, 1: 0}
+        assert tcp_out.read_bytes() == sim_out.read_bytes()
+
     def test_client_with_out_of_range_id_exits_nonzero(self, config_path, tmp_path):
         port = free_port()
         results = {}
@@ -126,41 +158,6 @@ class TestServeClient:
         for t in client_threads:
             t.join(timeout=60.0)
         assert results["serve"] == 0 and results[0] == 0 and results[1] == 0
-
-
-class TestBench:
-    def test_payload_ratio_exactly_two(self, capsys):
-        assert main(["bench", "--algorithm", "iiadmm", "--clients", "2", "--dim", "10", "--rounds", "3"]) == 0
-        out_ii = capsys.readouterr().out
-        assert main(["bench", "--algorithm", "iceadmm", "--clients", "2", "--dim", "10", "--rounds", "3"]) == 0
-        out_ice = capsys.readouterr().out
-
-        def payload(text):
-            for line in text.splitlines():
-                if line.startswith("payload_bytes_up_per_round:"):
-                    return int(line.split(":")[1])
-            raise AssertionError(f"no payload line in {text!r}")
-
-        assert payload(out_ice) == 2 * payload(out_ii)
-
-    def test_single_round_reports_na(self, capsys):
-        assert main(["bench", "--algorithm", "fedavg", "--clients", "2", "--dim", "8", "--rounds", "1"]) == 0
-        out = capsys.readouterr().out
-        assert "n/a" in out
-
-    def test_dim_doubling_doubles_payload(self, capsys):
-        main(["bench", "--algorithm", "fedavg", "--clients", "2", "--dim", "100", "--rounds", "1"])
-        small = capsys.readouterr().out
-        main(["bench", "--algorithm", "fedavg", "--clients", "2", "--dim", "200", "--rounds", "1"])
-        big = capsys.readouterr().out
-
-        def per_client(text):
-            for line in text.splitlines():
-                if line.startswith("payload_bytes_per_client_update:"):
-                    return int(line.split(":")[1])
-
-        # 8 + 8m doubles up to the 8-byte count prefix
-        assert per_client(big) - 8 == 2 * (per_client(small) - 8)
 
 
 class TestSweep:
@@ -199,7 +196,6 @@ class TestUsage:
             ("simulate", ["--config", "--seed", "--out", "--parallel"]),
             ("serve", ["--bind", "--config", "--seed", "--out"]),
             ("client", ["--connect", "--client-id", "--config"]),
-            ("bench", ["--algorithm", "--clients", "--dim", "--rounds"]),
             ("sweep", ["--config", "--eps", "--seeds", "--out", "--parallel"]),
             ("gradcheck", ["--model", "--input-dim", "--output-dim", "--hidden-dim", "--samples", "--tol"]),
         ],

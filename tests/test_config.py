@@ -16,11 +16,82 @@ def minimal():
     }
 
 
+def every_key_set():
+    """A config that sets every key of every section away from its default.
+
+    The one exception is rho_max, given as the string "inf" to exercise that form.
+    """
+    return {
+        "model": {"kind": "mlp1", "input_dim": 3, "output_dim": 4, "hidden_dim": 7},
+        "algo": {
+            "kind": "iceadmm",
+            "rho": 3.0,
+            "zeta": 1.5,
+            "eta": 0.5,
+            "beta": 0.5,
+            "local_steps": 2,
+            "batch_size": 8,
+            "rounds": 3,
+            "rho_gamma": 1.5,
+            "rho_max": "inf",
+        },
+        "privacy": {"enabled": True, "epsilon_bar": 5.0, "clip": 2.0},
+        "data": {
+            "source": "csv",
+            "n": 50,
+            "input_dim": 3,
+            "classes": 4,
+            "noise": 1.0,
+            "seed": 9,
+            "partition": "label-shards",
+            "shards_per_client": 3,
+            "test_fraction": 0.1,
+            "path": "x.csv",
+            "label_column": 0,
+            "has_header": True,
+            "images_path": "x.idx",
+            "labels_path": "y.idx",
+        },
+        "run": {"clients": 3, "seed": 5, "eval_every": 2, "timeout_s": 5.0, "out": "m.jsonl"},
+    }
+
+
 class TestParsing:
     def test_roundtrips_through_dict_form(self):
-        cfg = parse_config(minimal())
-        again = parse_config(config_to_dict(cfg))
-        assert again == cfg
+        for obj in (minimal(), every_key_set()):
+            cfg = parse_config(obj)
+            again = parse_config(config_to_dict(cfg))
+            assert again == cfg
+
+    def test_every_key_set_covers_the_echo(self):
+        full = every_key_set()
+        echo = config_to_dict(parse_config(full))
+        defaults = config_to_dict(parse_config({}))
+        assert {name: set(section) for name, section in echo.items()} == {
+            name: set(section) for name, section in full.items()
+        }
+        unchanged = {
+            (name, key)
+            for name, section in echo.items()
+            for key, value in section.items()
+            if value == defaults[name][key]
+        }
+        assert unchanged == {("algo", "rho_max")}
+
+    @pytest.mark.parametrize(
+        "obj,where",
+        [
+            ({"algo": {"rounds": "ten"}}, "algo.rounds"),
+            ({"algo": {"rho_max": "lots"}}, "algo.rho_max"),
+            ({"model": {"input_dim": None}}, "model.input_dim"),
+            ({"algo": 5}, "algo"),
+            ({"privacy": {"enabled": "false"}}, "privacy.enabled"),
+            ({"data": {"path": 5}}, "data.path"),
+        ],
+    )
+    def test_bad_value_names_its_key(self, obj, where):
+        with pytest.raises(ConfigError, match=where):
+            parse_config(obj)
 
     def test_unknown_section_rejected(self):
         obj = minimal()

@@ -247,8 +247,8 @@ class TestMetricsLine:
     def test_timing_keys_written_as_zero(self):
         from flcore.transport import RoundMetrics
 
-        m = RoundMetrics(round_num=3, train_loss=1.5, test_accuracy=None, t_local_ms=12.5)
+        m = RoundMetrics(round_num=3, train_loss=1.5, test_accuracy=None)
         obj = json.loads(metrics_line(m))
-        assert obj["t_local_ms"] == 0.0
+        assert obj["t_local_ms"] == obj["t_comm_ms"] == obj["t_global_ms"] == 0.0
         assert obj["test_acc"] is None
         assert obj["round"] == 3

@@ -300,6 +300,15 @@ class TestTcpCarrier:
         server.join(timeout=10.0)
         good.close()
 
+    def test_refused_connection_gives_up_at_timeout(self):
+        carrier = TcpServerCarrier("127.0.0.1:0", num_clients=1)
+        port = carrier.address[1]
+        carrier.close()  # nothing listens on the port any more
+        begin = time.monotonic()
+        with pytest.raises(TransportError, match="no server"):
+            TcpClientChannel(f"127.0.0.1:{port}", 0, timeout_s=0.3)
+        assert 0.3 <= time.monotonic() - begin < 5.0
+
     def test_lost_client_named_in_error(self):
         carrier = TcpServerCarrier("127.0.0.1:0", num_clients=1, handshake_timeout_s=10.0)
         port = carrier.address[1]
