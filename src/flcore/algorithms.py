@@ -11,7 +11,11 @@ take L local steps, and the server aggregates:
                broadcast w; the dual step runs independently on client AND
                server from the same inputs, so only z_p travels.
 
-All updates are pure functions; the caller owns state and scheduling.
+All updates are pure functions; the caller owns state and scheduling.  The
+local updates take one client's vectors (m,) or a group's stacked (P, m):
+their element-wise steps broadcast, the caller's grad_fn returns gradients of
+the same shape, and a NumericError carries the row of the first client that
+went non-finite.
 """
 
 from __future__ import annotations
@@ -112,11 +116,21 @@ def dual_update(lam: np.ndarray, rho: float, w: np.ndarray, z: np.ndarray) -> np
     return lam + rho * (w - z)
 
 
-def _clipped(grad_fn: GradFn, z: np.ndarray, batch, clip_c: float | None) -> np.ndarray:
-    g = grad_fn(z, batch)
+def _clipped(grad_fn: GradFn, z: np.ndarray, batch, clip_c: float | None, where: str) -> np.ndarray:
+    try:
+        g = grad_fn(z, batch)
+    except NumericError as exc:
+        raise NumericError(f"{exc} at {where}", row=exc.row) from exc
     if clip_c is not None:
         g = clip_gradient(g, clip_c)
     return g
+
+
+def _check_finite(where: str, *iterates: np.ndarray) -> None:
+    """Raise at the first non-finite iterate, naming its row (its client) in a stack."""
+    finite = np.logical_and.reduce([np.isfinite(v).all(axis=-1) for v in iterates])
+    if not np.all(finite):
+        raise NumericError(f"non-finite iterate at {where}", row=int(np.argmin(finite)))
 
 
 def iiadmm_local(
@@ -139,10 +153,10 @@ def iiadmm_local(
     z = w.copy()
     for epoch in range(1, local_epochs + 1):
         for b, batch in enumerate(epoch_batches(epoch)):
-            g = _clipped(grad_fn, z, batch, clip_c)
+            where = f"local epoch {epoch}, batch {b}"
+            g = _clipped(grad_fn, z, batch, clip_c, where)
             z = inexact_step(z, g, lam, rho, zeta, w)
-            if not np.all(np.isfinite(z)):
-                raise NumericError(f"non-finite iterate at local epoch {epoch}, batch {b}")
+            _check_finite(where, z)
     return z
 
 
@@ -164,11 +178,11 @@ def iceadmm_local(
     """
     _same_dim(z, lam, w)
     for step in range(1, local_steps + 1):
-        g = _clipped(grad_fn, z, full_batch, clip_c)
+        where = f"local step {step}"
+        g = _clipped(grad_fn, z, full_batch, clip_c, where)
         z = prox_closed_form(z, g, lam, rho, zeta, w)
         lam = dual_update(lam, rho, w, z)
-        if not np.all(np.isfinite(z)) or not np.all(np.isfinite(lam)):
-            raise NumericError(f"non-finite iterate at local step {step}")
+        _check_finite(where, z, lam)
     return z, lam
 
 
@@ -186,11 +200,11 @@ def fedavg_local(
     velocity = np.zeros_like(w)
     for epoch in range(1, local_epochs + 1):
         for b, batch in enumerate(epoch_batches(epoch)):
-            g = _clipped(grad_fn, z, batch, clip_c)
+            where = f"local epoch {epoch}, batch {b}"
+            g = _clipped(grad_fn, z, batch, clip_c, where)
             velocity = beta * velocity + g
             z = z - eta * velocity
-            if not np.all(np.isfinite(z)):
-                raise NumericError(f"non-finite iterate at local epoch {epoch}, batch {b}")
+            _check_finite(where, z)
     return z
 
 

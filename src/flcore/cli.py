@@ -61,7 +61,7 @@ def _load(args) -> RunConfig:
 def cmd_simulate(args) -> int:
     cfg = _load(args)
     out = args.out or cfg.out
-    record = train(cfg, parallel=args.parallel, metrics_path=out)
+    record = train(cfg, metrics_path=out)
     if out is None:
         for m in record.metrics:
             print(metrics_line(m))
@@ -109,7 +109,7 @@ def _parse_int_list(text: str) -> list[int]:
 
 def cmd_sweep(args) -> int:
     cfg = _load(args)
-    rows = epsilon_sweep(cfg, _parse_eps_list(args.eps), _parse_int_list(args.seeds), parallel=args.parallel)
+    rows = epsilon_sweep(cfg, _parse_eps_list(args.eps), _parse_int_list(args.seeds))
     if args.out:
         write_sweep_csv(rows, args.out)
     print(f"{'epsilon':>10}  {'mean_acc':>10}  {'std_acc':>10}  runs")
@@ -143,6 +143,11 @@ def cmd_gradcheck(args) -> int:
     return 0
 
 
+# Kept so existing command lines still parse; clients with equal data size
+# already run as one stacked computation.
+_PARALLEL_HELP = "accepted for compatibility; has no effect (true/false)"
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="flc", description="Federated consensus training with differential privacy")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -151,7 +156,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True, help="path to the JSON run config")
     p.add_argument("--seed", type=int, default=None, help="override the config seed")
     p.add_argument("--out", default=None, help="metrics JSONL path (default: stdout)")
-    p.add_argument("--parallel", type=_parse_bool, default=False, help="run clients on a thread pool (true/false)")
+    p.add_argument("--parallel", type=_parse_bool, default=False, help=_PARALLEL_HELP)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("serve", help="host the TCP server side of a federation")
@@ -173,7 +178,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", required=True, help="comma list of budgets, e.g. 3,5,10,inf")
     p.add_argument("--seeds", required=True, help="comma list of seeds, e.g. 0,1,2")
     p.add_argument("--out", default=None, help="plot-ready CSV path")
-    p.add_argument("--parallel", type=_parse_bool, default=False)
+    p.add_argument("--parallel", type=_parse_bool, default=False, help=_PARALLEL_HELP)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("gradcheck", help="finite-difference check of the model gradients")

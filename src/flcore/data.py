@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import struct
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -175,29 +176,41 @@ def _check_partition(assignments: list[np.ndarray], total: int) -> None:
 
 
 def batches(
-    dataset: Dataset,
-    indices: np.ndarray,
+    datasets: Sequence[Dataset],
     plan: BatchPlan,
-    client_id: int,
+    client_ids: Sequence[int],
     round_num: int,
     epoch: int,
 ) -> list[Batch]:
-    """Seeded mini-batches covering ``indices`` exactly once.
+    """Seeded mini-batches for a group of clients with equal local sizes.
 
-    The shuffle is keyed by (shuffle_seed, client, round, epoch); the last
-    batch may be smaller.
+    Client p's rows are shuffled by (shuffle_seed, client_ids[p], round,
+    epoch) into row p of one (P, n, d) array, and batch b is its slice
+    [:, b*batch_size : (b+1)*batch_size], so every batch is a stack
+    (see ``Batch``) covering each client's data exactly once per epoch; the
+    last batch may be smaller.
     """
-    if len(indices) == 0:
-        raise ConfigError("cannot batch an empty index set")
+    sizes = {data.size for data in datasets}
+    if len(sizes) != 1 or len(client_ids) != len(datasets):
+        raise ConfigError(f"a batch group needs one id per client and equal local sizes, got sizes {sorted(sizes)}")
+    n = sizes.pop()
+    if n == 0:
+        raise ConfigError("cannot batch an empty dataset")
     if plan.batch_size < 1:
         raise ConfigError("batch_size must be positive")
-    order = rng.shuffle_stream(plan.shuffle_seed, client_id, round_num, epoch).permutation(len(indices))
-    shuffled = np.asarray(indices)[order]
-    out = []
-    for start in range(0, len(shuffled), plan.batch_size):
-        idx = shuffled[start : start + plan.batch_size]
-        out.append(Batch(dataset.inputs[idx], dataset.labels[idx]))
-    return out
+    first = datasets[0]
+    inputs = np.empty((len(datasets), *first.inputs.shape), first.inputs.dtype)
+    labels = np.empty((len(datasets), *first.labels.shape), first.labels.dtype)
+    for p, (data, client_id) in enumerate(zip(datasets, client_ids)):
+        order = rng.shuffle_stream(plan.shuffle_seed, client_id, round_num, epoch).permutation(n)
+        # ``order`` is a permutation, so "clip" never clips; unlike the
+        # default mode it lets take write into the stack without a temporary.
+        np.take(data.inputs, order, axis=0, out=inputs[p], mode="clip")
+        np.take(data.labels, order, axis=0, out=labels[p], mode="clip")
+    return [
+        Batch(inputs[:, start : start + plan.batch_size], labels[:, start : start + plan.batch_size])
+        for start in range(0, n, plan.batch_size)
+    ]
 
 
 def train_test_split(dataset: Dataset, test_fraction: float, seed: int) -> tuple[Dataset, Dataset]:

@@ -14,7 +14,15 @@ class ShapeError(FlcoreError):
 
 
 class NumericError(FlcoreError):
-    """A non-finite value appeared where finite arithmetic is required."""
+    """A non-finite value appeared where finite arithmetic is required.
+
+    ``row`` is the first non-finite row of a stacked computation (0 when
+    unstacked), so the caller can name the client that row belongs to.
+    """
+
+    def __init__(self, message: str, row: int = 0):
+        super().__init__(message)
+        self.row = row
 
 
 class IngestionError(FlcoreError):

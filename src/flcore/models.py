@@ -47,14 +47,19 @@ class ModelSpec:
 
 @dataclass(frozen=True)
 class Batch:
-    """A mini-batch: inputs of shape (n, input_dim), labels of shape (n,)."""
+    """A mini-batch: inputs of shape (n, input_dim), labels of shape (n,).
+
+    A group of clients stacks its batches along a leading client axis:
+    inputs (P, n, input_dim), labels (P, n).
+    """
 
     inputs: np.ndarray
     labels: np.ndarray
 
     @property
     def n(self) -> int:
-        return self.inputs.shape[0]
+        """Samples per client."""
+        return self.inputs.shape[-2]
 
 
 def param_count(spec: ModelSpec) -> int:
@@ -89,102 +94,115 @@ def init_params(spec: ModelSpec, rng: np.random.Generator) -> np.ndarray:
 
 def _check_shapes(spec: ModelSpec, params: np.ndarray, inputs: np.ndarray) -> None:
     m = param_count(spec)
-    if params.ndim != 1 or params.shape[0] != m:
+    if params.ndim not in (1, 2) or params.shape[-1] != m:
         raise ShapeError(f"expected {m} parameters for {spec.kind}, got shape {params.shape}")
-    if inputs.ndim != 2 or inputs.shape[1] != spec.input_dim:
-        raise ShapeError(
-            f"expected inputs of shape (n, {spec.input_dim}), got {inputs.shape}"
-        )
+    lead = params.shape[:-1]
+    if inputs.ndim != len(lead) + 2 or inputs.shape[:-2] != lead or inputs.shape[-1] != spec.input_dim:
+        want = ", ".join([*map(str, lead), "n", str(spec.input_dim)])
+        raise ShapeError(f"expected inputs of shape ({want}), got {inputs.shape}")
 
 
-def _class_labels(spec: ModelSpec, labels: np.ndarray, n: int) -> np.ndarray:
-    y = np.asarray(labels)
-    if y.shape != (n,):
-        raise ShapeError(f"expected {n} labels, got shape {y.shape}")
+def _class_labels(spec: ModelSpec, y: np.ndarray) -> np.ndarray:
     y = y.astype(np.int64)
     if y.size and (y.min() < 0 or y.max() >= spec.output_dim):
         raise ShapeError(f"class labels must lie in [0, {spec.output_dim})")
     return y
 
 
+# The unpackers take one parameter vector (m,) or a stack of them (P, m).
+
+
 def _unpack_linear(spec: ModelSpec, params: np.ndarray):
     d = spec.input_dim
-    return params[:d], params[d]
+    return params[..., :d], params[..., d]
 
 
 def _unpack_softmax(spec: ModelSpec, params: np.ndarray):
     d, k = spec.input_dim, spec.output_dim
-    return params[: k * d].reshape(k, d), params[k * d :]
+    lead = params.shape[:-1]
+    return params[..., : k * d].reshape(*lead, k, d), params[..., k * d :]
 
 
 def _unpack_mlp(spec: ModelSpec, params: np.ndarray):
     d, k, h = spec.input_dim, spec.output_dim, spec.hidden_dim
+    lead = params.shape[:-1]
     o = 0
-    w1 = params[o : o + h * d].reshape(h, d)
+    w1 = params[..., o : o + h * d].reshape(*lead, h, d)
     o += h * d
-    b1 = params[o : o + h]
+    b1 = params[..., o : o + h]
     o += h
-    w2 = params[o : o + k * h].reshape(k, h)
+    w2 = params[..., o : o + k * h].reshape(*lead, k, h)
     o += k * h
-    b2 = params[o : o + k]
+    b2 = params[..., o : o + k]
     return w1, b1, w2, b2
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
     # Max subtraction keeps exp() in range; values are unchanged mathematically.
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
-def loss_and_grad(spec: ModelSpec, params: np.ndarray, batch: Batch) -> tuple[float, np.ndarray]:
-    """Batch-mean loss and its gradient with respect to the flat parameters."""
+def _t(a: np.ndarray) -> np.ndarray:
+    """Transpose each matrix of a stack."""
+    return a.swapaxes(-1, -2)
+
+
+def loss_and_grad(spec: ModelSpec, params: np.ndarray, batch: Batch) -> tuple[float | np.ndarray, np.ndarray]:
+    """Batch-mean loss and its gradient with respect to the flat parameters.
+
+    Params (m,) with inputs (n, d) and labels (n,) give a float loss and a
+    gradient (m,).  A stack of clients -- params (P, m), inputs (P, n, d),
+    labels (P, n) -- gives losses (P,) and gradients (P, m), and row p is
+    bitwise what the unstacked call returns for client p: each product is
+    one BLAS call per client on the same operands, and each reduction runs
+    over the same axis.  A NumericError carries the first non-finite row.
+    """
     x = np.asarray(batch.inputs, dtype=np.float64)
     _check_shapes(spec, params, x)
-    n = x.shape[0]
+    n = x.shape[-2]
     if n < 1:
         raise ShapeError("batch must contain at least one sample")
+    labels = np.asarray(batch.labels)
+    if labels.shape != x.shape[:-1]:
+        raise ShapeError(f"expected labels of shape {x.shape[:-1]}, got shape {labels.shape}")
+    stacked = params.ndim == 2
+    if not stacked:
+        params, x, labels = params[None], x[None], labels[None]
+    count = params.shape[0]
 
     if spec.kind == "linear-regression":
         w, b = _unpack_linear(spec, params)
-        y = np.asarray(batch.labels, dtype=np.float64)
-        if y.shape != (n,):
-            raise ShapeError(f"expected {n} labels, got shape {y.shape}")
-        resid = x @ w + b - y
-        loss = 0.5 * float(resid @ resid) / n
+        resid = (x @ w[..., None])[..., 0] + b[:, None] - labels.astype(np.float64)
+        loss = 0.5 * (resid[:, None, :] @ resid[..., None])[:, 0, 0] / n
         grad = np.empty_like(params)
-        grad[: spec.input_dim] = x.T @ resid / n
-        grad[spec.input_dim] = resid.sum() / n
+        grad[:, : spec.input_dim] = (_t(x) @ resid[..., None])[..., 0] / n
+        grad[:, spec.input_dim] = resid.sum(axis=-1) / n
     else:
-        y = _class_labels(spec, batch.labels, n)
-        onehot = np.zeros((n, spec.output_dim))
-        onehot[np.arange(n), y] = 1.0
+        y = _class_labels(spec, labels)
+        onehot = y[..., None] == np.arange(spec.output_dim)
         if spec.kind == "softmax":
             wmat, bias = _unpack_softmax(spec, params)
-            logp = _log_softmax(x @ wmat.T + bias)
-            loss = -float(logp[np.arange(n), y].sum()) / n
+            logp = _log_softmax(x @ _t(wmat) + bias[:, None, :])
             delta = (np.exp(logp) - onehot) / n
-            grad = np.concatenate([(delta.T @ x).ravel(), delta.sum(axis=0)])
+            parts = [_t(delta) @ x, delta.sum(axis=-2)]
         else:
             w1, b1, w2, b2 = _unpack_mlp(spec, params)
-            pre = x @ w1.T + b1
+            pre = x @ _t(w1) + b1[:, None, :]
             hidden = np.maximum(pre, 0.0)
-            logp = _log_softmax(hidden @ w2.T + b2)
-            loss = -float(logp[np.arange(n), y].sum()) / n
+            logp = _log_softmax(hidden @ _t(w2) + b2[:, None, :])
             delta2 = (np.exp(logp) - onehot) / n
-            dhidden = delta2 @ w2
-            dpre = dhidden * (pre > 0.0)
-            grad = np.concatenate(
-                [
-                    (dpre.T @ x).ravel(),
-                    dpre.sum(axis=0),
-                    (delta2.T @ hidden).ravel(),
-                    delta2.sum(axis=0),
-                ]
-            )
+            dpre = (delta2 @ w2) * (pre > 0.0)
+            parts = [_t(dpre) @ x, dpre.sum(axis=-2), _t(delta2) @ hidden, delta2.sum(axis=-2)]
+        loss = -logp[onehot].reshape(y.shape).sum(axis=-1) / n
+        grad = np.concatenate([part.reshape(count, -1) for part in parts], axis=1)
 
-    if not np.isfinite(loss) or not np.all(np.isfinite(grad)):
-        raise NumericError(f"non-finite loss/gradient for {spec.kind} model")
-    return loss, grad
+    if not (np.isfinite(loss).all() and np.isfinite(grad).all()):
+        finite = np.isfinite(loss) & np.isfinite(grad).all(axis=-1)
+        raise NumericError(f"non-finite loss/gradient for {spec.kind} model", row=int(np.argmin(finite)))
+    if stacked:
+        return loss, grad
+    return float(loss[0]), grad[0]
 
 
 def predict(spec: ModelSpec, params: np.ndarray, inputs: np.ndarray) -> np.ndarray:

@@ -63,13 +63,23 @@ class NoiseSpec:
 
 
 def clip_gradient(grad: np.ndarray, clip_c: float) -> np.ndarray:
-    """Scale ``grad`` so its L2 norm is at most ``clip_c``; zero stays zero."""
+    """Scale ``grad`` so its L2 norm is at most ``clip_c``; zero stays zero.
+
+    A stack of gradients (P, m) is clipped row by row.  Each row's norm is
+    the square root of its own 1-D dot product, which is what
+    ``np.linalg.norm`` computes for one real vector, so a row clips bitwise
+    as it would alone; a norm over axis 1 rounds differently.  Returns
+    ``grad`` itself when no row is scaled.
+    """
     if clip_c <= 0:
         raise ConfigError(f"clip constant must be positive, got {clip_c}")
-    norm = float(np.linalg.norm(grad))
-    if norm <= clip_c:
+    rows = np.atleast_2d(grad)
+    norms = np.sqrt([row.dot(row) for row in rows])
+    if np.all(norms <= clip_c):
         return grad
-    return grad * (clip_c / norm)
+    # Unscaled rows are multiplied by exactly 1.0, which leaves them bitwise alone.
+    scale = clip_c / np.maximum(norms, clip_c)
+    return (rows * scale[:, None]).reshape(grad.shape)
 
 
 def sensitivity(kind: str, clip_c: float, rho: float = 0.0, zeta: float = 0.0, eta: float = 0.0) -> float:

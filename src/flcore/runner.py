@@ -79,7 +79,6 @@ def _dp_report(cfg: RunConfig) -> dict:
 def train(
     config: RunConfig,
     carrier=None,
-    parallel: bool = False,
     metrics_path: str | None = None,
     on_round_end=None,
 ) -> RunRecord:
@@ -101,10 +100,7 @@ def train(
     session = SessionConfig(model=spec, algo_kind=algo.kind, initial_w=w, rounds=algo.rounds)
 
     if carrier is None:
-        carrier = InProcessCarrier(
-            [ClientWorker(config, cid, views[cid]) for cid in range(config.clients)],
-            parallel=parallel,
-        )
+        carrier = InProcessCarrier([ClientWorker(config, cid, views[cid]) for cid in range(config.clients)])
 
     record = RunRecord(metrics=[], final_w=w, dp_report=_dp_report(config))
     writer = open(metrics_path, "w") if metrics_path else None
@@ -198,7 +194,7 @@ def final_accuracy(record: RunRecord) -> float:
     raise ConfigError("run produced no test accuracy (regression model or empty test set)")
 
 
-def epsilon_sweep(base_config: RunConfig, eps_list, seeds, parallel: bool = False) -> list[dict]:
+def epsilon_sweep(base_config: RunConfig, eps_list, seeds) -> list[dict]:
     """Final accuracy per privacy budget, averaged over seeds.
 
     Privacy is force-enabled for every run so the budget is the only thing
@@ -224,7 +220,7 @@ def epsilon_sweep(base_config: RunConfig, eps_list, seeds, parallel: bool = Fals
                 seed=int(seed),
                 privacy=replace(base_config.privacy, enabled=True, epsilon_bar=float(eps)),
             )
-            accuracies.append(final_accuracy(train(cfg, parallel=parallel)))
+            accuracies.append(final_accuracy(train(cfg)))
         rows.append(
             {
                 "epsilon": float(eps),

@@ -29,7 +29,6 @@ import socket
 import struct
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -241,14 +240,22 @@ class _UpdateCollector:
 
 
 class InProcessCarrier:
-    """Memory-channel carrier: drives worker objects through the same codec."""
+    """Memory-channel carrier: drives worker objects through the same codec.
 
-    def __init__(self, workers, parallel: bool = False):
+    Workers with equal ``group_key`` run each round through one
+    ``handle_group`` call on their class, but every client still gets its
+    own GLOBAL_MODEL frame decoded and its own LOCAL_UPDATE frame encoded.
+    """
+
+    def __init__(self, workers):
         ids = [w.client_id for w in workers]
         if sorted(ids) != list(range(len(workers))):
             raise TransportError(f"workers must cover ids 0..{len(workers) - 1}, got {sorted(ids)}")
         self.workers = sorted(workers, key=lambda w: w.client_id)
-        self.parallel = parallel
+        groups: dict = {}
+        for worker in self.workers:
+            groups.setdefault(worker.group_key, []).append(worker)
+        self.groups = list(groups.values())
         self.round_bytes = RoundBytes()
         self._pending: list[bytes] = []
 
@@ -271,18 +278,14 @@ class InProcessCarrier:
     def broadcast_model(self, round_num: int, w: np.ndarray) -> None:
         frame = encode_envelope(Envelope(GLOBAL_MODEL, round_num, 0, encode_vector(w)))
         self.round_bytes.bytes_down += len(frame) * len(self.workers)
-
-        def run(worker) -> bytes:
-            env = decode_envelope(frame)
-            arrays = worker.handle_global(env.round_num, decode_vectors(env.payload)[0])
-            reply = Envelope(LOCAL_UPDATE, env.round_num, worker.client_id, encode_update_payload(arrays))
-            return encode_envelope(reply)
-
-        if self.parallel and len(self.workers) > 1:
-            with ThreadPoolExecutor(max_workers=len(self.workers)) as pool:
-                self._pending = list(pool.map(run, self.workers))
-        else:
-            self._pending = [run(worker) for worker in self.workers]
+        self._pending = []
+        for group in self.groups:
+            envs = [decode_envelope(frame) for _ in group]
+            models = np.stack([decode_vectors(env.payload)[0] for env in envs])
+            updates = type(group[0]).handle_group(group, envs[0].round_num, models)
+            for worker, env, arrays in zip(group, envs, updates):
+                reply = Envelope(LOCAL_UPDATE, env.round_num, worker.client_id, encode_update_payload(arrays))
+                self._pending.append(encode_envelope(reply))
 
     def gather_updates(self, round_num: int, timeout_s: float = 60.0) -> list[Envelope]:
         collector = _UpdateCollector(self.num_clients, round_num, self.round_bytes)

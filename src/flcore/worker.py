@@ -1,10 +1,13 @@
 """Client-side engine: one object per client, one method call per round.
 
-The same ClientWorker runs behind both carriers.  In-process, the carrier
-calls it directly; over TCP, ``run_client`` wraps it in the JOIN /
-GLOBAL_MODEL / LOCAL_UPDATE / DONE state machine.  Every update the worker
-produces is a pure function of (config, seed, client id, round), which is
-what makes runs carrier-invariant and repeatable.
+Over TCP, ``run_client`` wraps a ClientWorker in the JOIN / GLOBAL_MODEL /
+LOCAL_UPDATE / DONE state machine.  In-process, the carrier hands each group
+of workers with equal ``group_key`` to ``ClientWorker.handle_group``, which
+runs their local updates as one stacked computation per local step.  A lone
+worker is a group of one, so both carriers share one local-update path.
+Every update a client produces is a pure function of (config, seed, client
+id, round), whichever group it runs in, which is what makes runs
+carrier-invariant and repeatable.
 """
 
 from __future__ import annotations
@@ -56,17 +59,6 @@ class ClientWorker:
 
     # -- per-round update ------------------------------------------------------
 
-    def _grad_fn(self):
-        spec = self.config.model
-
-        def grad(z: np.ndarray, batch: Batch) -> np.ndarray:
-            return loss_and_grad(spec, z, batch)[1]
-
-        return grad
-
-    def _clip_c(self) -> float | None:
-        return self.config.privacy.clip_c if self.config.privacy.enabled else None
-
     def _perturb(self, z: np.ndarray, round_num: int, rho_t: float) -> np.ndarray:
         privacy = self.config.privacy
         if not privacy.is_private:
@@ -76,49 +68,93 @@ class ClientWorker:
         spec = NoiseSpec.for_run(privacy, delta)
         return perturb_output(z, spec, noise_stream(self.config.seed, self.client_id, round_num))
 
+    @property
+    def group_key(self) -> tuple:
+        """In-process workers with equal keys run their rounds through one ``handle_group`` call.
+
+        Equal local data size gives equal mini-batch shapes (the ragged last
+        batch included).  ICEADMM clients stay alone: their full-batch step
+        is bound by flops, and stacking it would hold every client's
+        full-batch intermediates at once.
+        """
+        if self.config.algo.kind == "iceadmm":
+            return ("client", self.client_id)
+        return (self.config, self.local.size)
+
     def handle_global(self, round_num: int, w: np.ndarray) -> list[np.ndarray]:
         """One local round; returns the payload vectors to communicate."""
-        if self.lam is None or self.z is None:
-            raise TransportError(f"client {self.client_id} received a model before JOIN_ACK")
-        algo = self.config.algo
+        return ClientWorker.handle_group([self], round_num, w[None])[0]
+
+    @staticmethod
+    def handle_group(workers: list[ClientWorker], round_num: int, models: np.ndarray) -> list[list[np.ndarray]]:
+        """One local round for workers of equal ``group_key``, as one stacked computation.
+
+        ``models`` holds each client's decoded w, one row per worker.  One
+        ``loss_and_grad`` call per local step serves every client; batches,
+        noise and the IIADMM dual step use each client's own streams and
+        state, so each client's payload vectors, returned in worker order,
+        are bitwise what it computes alone.
+        """
+        for worker in workers:
+            if worker.lam is None or worker.z is None:
+                raise TransportError(f"client {worker.client_id} received a model before JOIN_ACK")
+        client_ids = [worker.client_id for worker in workers]
+        config = workers[0].config
+        algo, spec = config.algo, config.model
         rho_t = algo.rho_at(round_num)
-        grad = self._grad_fn()
-        clip = self._clip_c()
-        all_idx = np.arange(self.local.size)
+        clip = config.privacy.clip_c if config.privacy.enabled else None
+
+        def grad(z: np.ndarray, batch: Batch) -> np.ndarray:
+            return loss_and_grad(spec, z, batch)[1]
+
+        def epoch_batches(epoch: int) -> list[Batch]:
+            return batches([w.local for w in workers], workers[0].plan, client_ids, round_num, epoch)
+
         try:
             if algo.kind == "fedavg":
-                z_new = algorithms.fedavg_local(
-                    w,
-                    algo.eta,
-                    algo.beta,
-                    algo.local_steps,
-                    lambda epoch: batches(self.local, all_idx, self.plan, self.client_id, round_num, epoch),
-                    grad,
-                    clip,
-                )
-                return [self._perturb(z_new, round_num, rho_t)]
+                z = algorithms.fedavg_local(models, algo.eta, algo.beta, algo.local_steps, epoch_batches, grad, clip)
+                return [[worker._perturb(z[p], round_num, rho_t)] for p, worker in enumerate(workers)]
             if algo.kind == "iiadmm":
                 # One split per round, reused across the L local epochs.
-                fixed = batches(self.local, all_idx, self.plan, self.client_id, round_num, 0)
-                z_new = algorithms.iiadmm_local(
-                    w, self.lam, rho_t, algo.zeta, algo.local_steps, lambda epoch: fixed, grad, clip
+                fixed = epoch_batches(0)
+                lam = _stack([worker.lam for worker in workers])
+                z = algorithms.iiadmm_local(
+                    models, lam, rho_t, algo.zeta, algo.local_steps, lambda epoch: fixed, grad, clip
                 )
-                z_out = self._perturb(z_new, round_num, rho_t)
-                # Mirrored dual step: the server applies the same formula to the
-                # same communicated value, so both sides stay bitwise equal.
-                self.lam = algorithms.dual_update(self.lam, rho_t, w, z_out)
-                return [z_out]
+                payloads = []
+                for p, worker in enumerate(workers):
+                    z_out = worker._perturb(z[p], round_num, rho_t)
+                    # Mirrored dual step: the server applies the same formula to the
+                    # same communicated value, so both sides stay bitwise equal.
+                    worker.lam = algorithms.dual_update(worker.lam, rho_t, models[p], z_out)
+                    payloads.append([z_out])
+                return payloads
             # iceadmm: full batch, state carries over between rounds.
-            full = Batch(self.local.inputs, self.local.labels)
-            self.z, self.lam = algorithms.iceadmm_local(
-                self.z, self.lam, w, rho_t, algo.zeta, algo.local_steps, full, grad, clip
+            full = Batch(_stack([w.local.inputs for w in workers]), _stack([w.local.labels for w in workers]))
+            z, lam = algorithms.iceadmm_local(
+                _stack([w.z for w in workers]),
+                _stack([w.lam for w in workers]),
+                models,
+                rho_t,
+                algo.zeta,
+                algo.local_steps,
+                full,
+                grad,
+                clip,
             )
-            return [self._perturb(self.z, round_num, rho_t), self.lam]
+            for p, worker in enumerate(workers):
+                worker.z, worker.lam = z[p], lam[p]
+            return [[worker._perturb(worker.z, round_num, rho_t), worker.lam] for worker in workers]
         except NumericError as exc:
-            raise NumericError(f"client {self.client_id}, round {round_num}: {exc}") from exc
+            raise NumericError(f"client {client_ids[exc.row]}, round {round_num}: {exc}") from exc
 
     def handle_done(self, env: transport.Envelope) -> None:
         log.debug("client %d done after %d rounds", self.client_id, self.rounds)
+
+
+def _stack(arrays: list[np.ndarray]) -> np.ndarray:
+    """Stack along a new client axis; a group of one gets a view, not a copy."""
+    return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
 
 
 def build_workers(config: RunConfig) -> list[ClientWorker]:

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flcore import rng
-from flcore.errors import ConfigError, ShapeError
+from flcore.errors import ConfigError, NumericError, ShapeError
 from flcore.models import (
     Batch,
     ModelSpec,
@@ -108,6 +108,88 @@ class TestLossAndGrad:
     def test_label_out_of_range(self):
         with pytest.raises(ShapeError):
             loss_and_grad(SOFTMAX, np.zeros(9), Batch(np.zeros((1, 2)), np.array([3])))
+
+
+def reference_loss_and_grad(spec, params, x, y):
+    """One client's loss and gradient with plain 2-D products, the formulation
+    the stacked kernel must reproduce bitwise."""
+    n, d = x.shape
+    if spec.kind == "linear-regression":
+        resid = x @ params[:d] + params[d] - y
+        grad = np.empty_like(params)
+        grad[:d] = x.T @ resid / n
+        grad[d] = resid.sum() / n
+        return 0.5 * float(resid @ resid) / n, grad
+    k, h = spec.output_dim, spec.hidden_dim
+    onehot = np.zeros((n, k))
+    onehot[np.arange(n), y] = 1.0
+
+    def log_softmax(logits):
+        shifted = logits - logits.max(axis=1, keepdims=True)
+        return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+
+    if spec.kind == "softmax":
+        wmat, bias = params[: k * d].reshape(k, d), params[k * d :]
+        logp = log_softmax(x @ wmat.T + bias)
+        delta = (np.exp(logp) - onehot) / n
+        grad = np.concatenate([(delta.T @ x).ravel(), delta.sum(axis=0)])
+    else:
+        w1 = params[: h * d].reshape(h, d)
+        b1 = params[h * d : h * (d + 1)]
+        w2 = params[h * (d + 1) : h * (d + 1) + k * h].reshape(k, h)
+        b2 = params[h * (d + 1) + k * h :]
+        pre = x @ w1.T + b1
+        hidden = np.maximum(pre, 0.0)
+        logp = log_softmax(hidden @ w2.T + b2)
+        delta2 = (np.exp(logp) - onehot) / n
+        dpre = (delta2 @ w2) * (pre > 0.0)
+        grad = np.concatenate(
+            [(dpre.T @ x).ravel(), dpre.sum(axis=0), (delta2.T @ hidden).ravel(), delta2.sum(axis=0)]
+        )
+    return -float(logp[np.arange(n), y].sum()) / n, grad
+
+
+class TestStacked:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        kind=st.sampled_from(["linear-regression", "softmax", "mlp1"]),
+        dims=st.tuples(st.integers(1, 24), st.integers(2, 11), st.integers(1, 40)),
+        clients=st.integers(1, 6),
+        n=st.integers(1, 40),
+        seed=st.integers(0, 10_000),
+    )
+    def test_rows_equal_2d_reference_bitwise(self, kind, dims, clients, n, seed):
+        d, k, h = dims
+        spec = ModelSpec(kind, d, 1 if kind == "linear-regression" else k, h if kind == "mlp1" else 0)
+        gen = np.random.default_rng(seed)
+        params = gen.normal(size=(clients, param_count(spec)))
+        # Client rows are slices of a longer buffer, as the worker's batches are.
+        x = gen.normal(size=(clients, n + 3, d))[:, 1 : n + 1]
+        if spec.is_classifier:
+            y = gen.integers(0, spec.output_dim, (clients, n))
+        else:
+            y = gen.normal(size=(clients, n))
+        losses, grads = loss_and_grad(spec, params, Batch(x, y))
+        for p in range(clients):
+            ref_loss, ref_grad = reference_loss_and_grad(spec, params[p].copy(), x[p].copy(), y[p].copy())
+            loss, grad = loss_and_grad(spec, params[p].copy(), Batch(x[p].copy(), y[p].copy()))
+            assert loss == losses[p] == ref_loss
+            assert np.array_equal(grad, ref_grad) and np.array_equal(grads[p], ref_grad)
+
+    def test_client_axis_must_agree(self):
+        with pytest.raises(ShapeError):
+            loss_and_grad(SOFTMAX, np.zeros((2, 9)), Batch(np.zeros((3, 4, 2)), np.zeros((3, 4), dtype=int)))
+        with pytest.raises(ShapeError):
+            loss_and_grad(SOFTMAX, np.zeros((2, 9)), Batch(np.zeros((2, 4, 2)), np.zeros((2, 5), dtype=int)))
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_error_names_first_non_finite_row(self):
+        params = np.zeros((3, param_count(LINREG)))
+        x = np.ones((3, 2, 3))
+        x[2, 0, 0] = x[1, 1, 1] = np.inf
+        with pytest.raises(NumericError) as err:
+            loss_and_grad(LINREG, params, Batch(x, np.zeros((3, 2))))
+        assert err.value.row == 1
 
 
 class TestPredict:

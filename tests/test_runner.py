@@ -35,9 +35,9 @@ def blob_config(**overrides):
     return parse_config(base)
 
 
-def run_to_lines(config, tmp_path, name, parallel=False, carrier=None):
+def run_to_lines(config, tmp_path, name, carrier=None):
     path = tmp_path / name
-    train(config, carrier=carrier, parallel=parallel, metrics_path=str(path))
+    train(config, carrier=carrier, metrics_path=str(path))
     return path.read_bytes()
 
 
@@ -76,12 +76,6 @@ class TestTrainBasics:
         a = run_to_lines(cfg, tmp_path, "a.jsonl")
         b = run_to_lines(cfg, tmp_path, "b.jsonl")
         assert a == b
-
-    def test_parallel_matches_serial(self, tmp_path):
-        cfg = blob_config(privacy={"enabled": True, "epsilon_bar": 10, "clip": 1.0})
-        serial = run_to_lines(cfg, tmp_path, "s.jsonl", parallel=False)
-        parallel = run_to_lines(cfg, tmp_path, "p.jsonl", parallel=True)
-        assert serial == parallel
 
     def test_privacy_flag_off_consumes_no_randomness(self, tmp_path):
         # enabled=false must equal enabled=true with infinite budget and a

@@ -166,6 +166,8 @@ class TestUpdateCollector:
 class EchoWorker:
     """Minimal in-process client: replies with the received model."""
 
+    group_key = "echo"  # the carrier runs all echo workers as one group
+
     def __init__(self, client_id, vectors=1):
         self.client_id = client_id
         self.vectors = vectors
@@ -177,6 +179,10 @@ class EchoWorker:
     def handle_global(self, round_num, w):
         self.seen_payloads.append(w.tobytes())
         return [w.copy() for _ in range(self.vectors)]
+
+    @staticmethod
+    def handle_group(workers, round_num, models):
+        return [worker.handle_global(round_num, w) for worker, w in zip(workers, models)]
 
     def handle_done(self, env):
         self.done = True
@@ -198,24 +204,26 @@ class TestInProcessCarrier:
         assert carrier.round_bytes.payload_bytes_up == 3 * 24
         assert [e.client_id for e in envs] == [0, 1, 2]
 
-    def test_parallel_matches_serial(self):
-        w = np.array([0.25, -8.5])
-        serial = transport.InProcessCarrier([EchoWorker(i) for i in range(4)])
-        serial.start(make_session())
-        serial.broadcast_model(1, w)
-        a = serial.gather_updates(1)
-        parallel = transport.InProcessCarrier([EchoWorker(i) for i in range(4)], parallel=True)
-        parallel.start(make_session())
-        parallel.broadcast_model(1, w)
-        b = parallel.gather_updates(1)
-        assert [e.payload for e in a] == [e.payload for e in b]
-
     def test_gather_is_sorted_and_complete(self):
         carrier = transport.InProcessCarrier([EchoWorker(i) for i in reversed(range(5))])
         carrier.start(make_session())
         carrier.broadcast_model(1, np.zeros(2))
         envs = carrier.gather_updates(1)
         assert [e.client_id for e in envs] == [0, 1, 2, 3, 4]
+
+    def test_groups_follow_group_key(self):
+        workers = [EchoWorker(i) for i in range(4)]
+        for worker in workers[1::2]:
+            worker.group_key = "odd"
+        carrier = transport.InProcessCarrier(workers)
+        assert [[w.client_id for w in group] for group in carrier.groups] == [[0, 2], [1, 3]]
+        carrier.start(make_session())
+        w = np.array([0.5, -2.0])
+        carrier.broadcast_model(1, w)
+        envs = carrier.gather_updates(1)
+        assert [e.client_id for e in envs] == [0, 1, 2, 3]
+        assert [decode_vectors(e.payload)[0].tobytes() for e in envs] == [w.tobytes()] * 4
+        assert all(worker.seen_payloads == [w.tobytes()] for worker in workers)
 
 
 def run_echo_client(port, client_id, rounds, vectors=1, join_only=False, result=None):

@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from flcore.config import parse_config
-from flcore.errors import ConfigError
-from flcore.models import ModelSpec, param_count
+from flcore.errors import ConfigError, NumericError
+from flcore.models import ModelSpec, init_params, param_count
 from flcore.privacy import laplace_sample, noise_stream, sensitivity
-from flcore.transport import SessionConfig
-from flcore.worker import build_worker, build_workers
+from flcore.rng import stream
+from flcore.transport import InProcessCarrier, SessionConfig
+from flcore.worker import ClientWorker, build_worker, build_workers
 
 
 def config(kind="iiadmm", privacy=None, **algo_overrides):
@@ -123,3 +124,107 @@ class TestBuilders:
     def test_out_of_range_id(self):
         with pytest.raises(ConfigError):
             build_worker(config(), 7)
+
+
+# Every model has an odd parameter count m, so rows of a stacked (P, m)
+# buffer after the first are not 64-byte aligned.
+GROUP_MODELS = {
+    "linear-regression": (
+        {"kind": "linear-regression", "input_dim": 6, "output_dim": 1},
+        {"source": "synthetic-regression", "input_dim": 6},
+    ),
+    "softmax": (
+        {"kind": "softmax", "input_dim": 4, "output_dim": 3},
+        {"source": "synthetic-blobs", "input_dim": 4, "classes": 3, "noise": 0.5},
+    ),
+    "mlp1": (
+        {"kind": "mlp1", "input_dim": 2, "output_dim": 3, "hidden_dim": 4},
+        {"source": "synthetic-blobs", "input_dim": 2, "classes": 3, "noise": 0.5},
+    ),
+}
+# equal: 80 training rows over 4 clients, 20 each, so batches of 8 end in a
+# ragged batch of 4.  unequal: 82 rows cut into 8 label shards of 10 or 11,
+# so clients hold 20 to 22 rows and split into several groups.
+GROUP_DATA = {
+    "equal": {"n": 100, "partition": "equal"},
+    "unequal": {"n": 103, "partition": "label-shards", "shards_per_client": 2},
+}
+
+
+def group_config(model, algo, clip, data):
+    model_section, data_section = GROUP_MODELS[model]
+    return parse_config(
+        {
+            "model": model_section,
+            "algo": {"kind": algo, "rho": 2.0, "zeta": 0.5, "eta": 0.1, "beta": 0.5, "local_steps": 2,
+                     "batch_size": 8, "rounds": 2},
+            "privacy": {"enabled": True, "epsilon_bar": 10, "clip": clip},
+            "data": {**data_section, **GROUP_DATA[data]},
+            "run": {"clients": 4, "seed": 3},
+        }
+    )
+
+
+def joined_workers(cfg):
+    workers = build_workers(cfg)
+    session = SessionConfig(cfg.model, cfg.algo.kind, init_params(cfg.model, stream("init", cfg.seed)), cfg.algo.rounds)
+    for worker in workers:
+        worker.handle_join_ack(session)
+    return workers
+
+
+def run_groups(workers, round_num, w):
+    """Each group's payloads through one handle_group call, keyed by client id."""
+    out = {}
+    for group in InProcessCarrier(workers).groups:
+        models = np.stack([w] * len(group))
+        for worker, arrays in zip(group, ClientWorker.handle_group(group, round_num, models)):
+            out[worker.client_id] = arrays
+    return out
+
+
+class TestGroups:
+    @pytest.mark.parametrize("data", sorted(GROUP_DATA))
+    @pytest.mark.parametrize("clip", [1e-3, 1e6])
+    @pytest.mark.parametrize("algo", ["fedavg", "iiadmm"])
+    @pytest.mark.parametrize("model", sorted(GROUP_MODELS))
+    def test_group_equals_alone_bitwise(self, model, algo, clip, data):
+        cfg = group_config(model, algo, clip, data)
+        grouped, alone = joined_workers(cfg), joined_workers(cfg)
+        sizes = [w.local.size for w in grouped]
+        groups = InProcessCarrier(grouped).groups
+        if data == "equal":
+            assert len(groups) == 1 and sizes[0] % cfg.algo.batch_size != 0
+        else:
+            assert len(groups) > 1 and any(len(g) > 1 for g in groups)
+        assert param_count(cfg.model) % 2 == 1
+        gen = stream("test-groups", model, algo)
+        for round_num in (1, 2):
+            w = gen.normal(size=param_count(cfg.model))
+            together = run_groups(grouped, round_num, w)
+            for worker in alone:
+                by_itself = worker.handle_global(round_num, w)
+                assert len(together[worker.client_id]) == len(by_itself) == 1
+                for a, b in zip(together[worker.client_id], by_itself):
+                    assert np.array_equal(a, b), f"round {round_num}, client {worker.client_id}"
+            for g, a in zip(grouped, alone):
+                assert np.array_equal(g.lam, a.lam), f"round {round_num}, client {g.client_id} dual"
+
+    def test_iceadmm_clients_stay_alone(self):
+        cfg = group_config("softmax", "iceadmm", 1.0, "equal")
+        assert [len(g) for g in InProcessCarrier(build_workers(cfg)).groups] == [1, 1, 1, 1]
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
+    def test_failure_in_a_group_names_its_client(self):
+        cfg = group_config("mlp1", "iiadmm", 1.0, "equal")
+        grouped, alone = joined_workers(cfg), joined_workers(cfg)
+        for workers in (grouped, alone):
+            workers[2].local.inputs[5] *= 1e308
+        w = stream("test-groups", "diverge").normal(size=param_count(cfg.model))
+        with pytest.raises(NumericError) as in_group:
+            run_groups(grouped, 1, w)
+        with pytest.raises(NumericError) as by_itself:
+            alone[2].handle_global(1, w)
+        message = str(in_group.value)
+        assert message == str(by_itself.value)
+        assert message.startswith("client 2, round 1: ") and "local epoch 1, batch" in message
