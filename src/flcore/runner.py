@@ -23,7 +23,7 @@ from .data import Dataset
 from .errors import ConfigError, FlcoreError, ProtocolError
 from .models import Batch, ModelSpec, init_params, loss_and_grad, param_count, predict
 from .privacy import NoiseSpec, dp_budget_report, sensitivity
-from .transport import InProcessCarrier, RoundMetrics, SessionConfig, decode_vectors
+from .transport import HEADER_SIZE, InProcessCarrier, RoundMetrics, SessionConfig, decode_vectors
 from .worker import ClientWorker
 
 log = logging.getLogger("flcore.runner")
@@ -133,8 +133,7 @@ def _run_round(config, carrier, t, w, duals, weights, views, test_data):
     m = param_count(spec)
     rho_t = algo.rho_at(t)
 
-    carrier.reset_round_bytes()
-    carrier.broadcast_model(t, w)
+    bytes_down = carrier.broadcast_model(t, w)
     envelopes = carrier.gather_updates(t, config.timeout_s)
 
     expected = ALGORITHMS[algo.kind].vectors_up
@@ -172,16 +171,16 @@ def _run_round(config, carrier, t, w, duals, weights, views, test_data):
     if test_data.size and (t % config.eval_every == 0 or t == algo.rounds):
         test_loss, test_acc = validate(spec, w_new, test_data)
 
-    rb = carrier.round_bytes
+    payload_up = sum(len(env.payload) for env in envelopes)
     metrics = RoundMetrics(
         round_num=t,
         train_loss=train_loss,
         test_accuracy=test_acc,
         test_loss=test_loss,
         consensus_residual=residual,
-        bytes_up=rb.bytes_up,
-        bytes_down=rb.bytes_down,
-        payload_bytes_up=rb.payload_bytes_up,
+        bytes_up=payload_up + HEADER_SIZE * len(envelopes),
+        bytes_down=bytes_down,
+        payload_bytes_up=payload_up,
     )
     return w_new, duals, metrics
 

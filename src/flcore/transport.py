@@ -17,17 +17,22 @@ FedAvg/IIADMM or two (z then lambda) for ICEADMM; JOIN_ACK carries the session
 header (algorithm, model shape, round count) plus the initial model.
 
 The in-process carrier pushes the very same encoded bytes through memory
-queues that the TCP carrier pushes through sockets, so byte accounting and
-decoded values are identical across carriers.
+that the TCP carrier pushes through sockets, so frame sizes and decoded
+values are identical across carriers.
+
+Rounds are synchronous: the server sends GLOBAL_MODEL to every client, then
+reads exactly one frame per client, in id order, from that client's own
+channel.  That frame must be the client's LOCAL_UPDATE for the round, of the
+size the session fixes, or its ERROR (``check_update``).  Every server wait
+is bounded: the handshake by one deadline, each send by the carrier's
+timeout, and each round's reads by one round deadline (``run.timeout_s``).
 """
 
 from __future__ import annotations
 
 import logging
-import queue
 import socket
 import struct
-import threading
 import time
 from dataclasses import dataclass
 
@@ -61,15 +66,6 @@ class Envelope:
     round_num: int
     client_id: int
     payload: bytes = b""
-
-
-@dataclass
-class RoundBytes:
-    """Per-round traffic counters; frame bytes include the 22-byte header."""
-
-    bytes_down: int = 0
-    bytes_up: int = 0
-    payload_bytes_up: int = 0
 
 
 @dataclass
@@ -193,47 +189,29 @@ def decode_join_ack(payload: bytes) -> SessionConfig:
     return SessionConfig(model=spec, algo_kind=_ALGO_FROM_CODE[algo_code], initial_w=vectors[0], rounds=rounds)
 
 
-# --- gather bookkeeping shared by both carriers -----------------------------
+# --- the gather check shared by both carriers --------------------------------
 
 
-class _UpdateCollector:
-    """Validates and orders LOCAL_UPDATE envelopes for one round."""
+def check_update(header: bytes, client_id: int, round_num: int, size: int) -> tuple[int, int, int, int]:
+    """Parse the header of the frame gathered from client p's channel in round t.
 
-    def __init__(self, num_clients: int, round_num: int, counters: RoundBytes):
-        self.num_clients = num_clients
-        self.round_num = round_num
-        self.counters = counters
-        self.collected: dict[int, Envelope] = {}
-
-    def offer(self, env: Envelope) -> None:
-        if env.kind == ERROR:
-            raise TransportError(f"client {env.client_id} reported: {env.payload.decode('utf-8', 'replace')}")
-        if env.kind != LOCAL_UPDATE:
-            raise ProtocolError(f"expected LOCAL_UPDATE, got {KIND_NAMES[env.kind]} from client {env.client_id}")
-        if env.round_num < self.round_num:
-            log.debug("dropping stale round-%d update from client %d", env.round_num, env.client_id)
-            return
-        if env.round_num > self.round_num:
-            raise ProtocolError(
-                f"client {env.client_id} sent round {env.round_num} during round {self.round_num}"
-            )
-        if env.client_id in self.collected:
-            raise ProtocolError(f"duplicate round-{self.round_num} update from client {env.client_id}")
-        if env.client_id >= self.num_clients:
-            raise ProtocolError(f"update from unknown client {env.client_id}")
-        self.collected[env.client_id] = env
-        self.counters.bytes_up += HEADER_SIZE + len(env.payload)
-        self.counters.payload_bytes_up += len(env.payload)
-
-    @property
-    def complete(self) -> bool:
-        return len(self.collected) == self.num_clients
-
-    def missing(self) -> list[int]:
-        return sorted(set(range(self.num_clients)) - set(self.collected))
-
-    def result(self) -> list[Envelope]:
-        return [self.collected[cid] for cid in sorted(self.collected)]
+    It must be p's LOCAL_UPDATE for round t declaring ``size`` bytes, or p's
+    ERROR.  Anything else, a stale round too (with synchronous rounds it can
+    only be a duplicate), is a ProtocolError naming p.  Returns the fields.
+    """
+    try:
+        kind, env_round, env_client, length = _parse_header(header)
+    except ProtocolError as exc:
+        raise ProtocolError(f"client {client_id}: {exc}") from None
+    if env_client != client_id:
+        raise ProtocolError(f"client {client_id} sent a frame as client {env_client}")
+    if kind != ERROR and (kind != LOCAL_UPDATE or env_round != round_num):
+        raise ProtocolError(
+            f"client {client_id} sent {KIND_NAMES[kind]} for round {env_round} during round {round_num}"
+        )
+    if kind == LOCAL_UPDATE and length != size:
+        raise ProtocolError(f"client {client_id} declared a {length}-byte update; the session's is {size} bytes")
+    return kind, env_round, env_client, length
 
 
 # --- in-process carrier -----------------------------------------------------
@@ -256,45 +234,38 @@ class InProcessCarrier:
         for worker in self.workers:
             groups.setdefault(worker.group_key, []).append(worker)
         self.groups = list(groups.values())
-        self.round_bytes = RoundBytes()
-        self._pending: list[bytes] = []
-
-    @property
-    def num_clients(self) -> int:
-        return len(self.workers)
-
-    def reset_round_bytes(self) -> None:
-        self.round_bytes = RoundBytes()
+        self._pending: dict[int, bytes] = {}
+        self._update_size = 0
 
     def start(self, session: SessionConfig) -> None:
         ack_payload = encode_join_ack(session)
+        self._update_size = payload_size(session.algo_kind, session.initial_w.shape[0])
         for worker in self.workers:
-            join = decode_envelope(encode_envelope(Envelope(JOIN, 0, worker.client_id)))
-            if join.client_id != worker.client_id:
-                raise TransportError("join id mismatch")
             ack = decode_envelope(encode_envelope(Envelope(JOIN_ACK, 0, worker.client_id, ack_payload)))
             worker.handle_join_ack(decode_join_ack(ack.payload))
 
-    def broadcast_model(self, round_num: int, w: np.ndarray) -> None:
+    def broadcast_model(self, round_num: int, w: np.ndarray) -> int:
+        """Run every client's round; returns the GLOBAL_MODEL bytes sent."""
         frame = encode_envelope(Envelope(GLOBAL_MODEL, round_num, 0, encode_vector(w)))
-        self.round_bytes.bytes_down += len(frame) * len(self.workers)
-        self._pending = []
+        self._pending = {}
         for group in self.groups:
             envs = [decode_envelope(frame) for _ in group]
             models = np.stack([decode_vectors(env.payload)[0] for env in envs])
             updates = type(group[0]).handle_group(group, envs[0].round_num, models)
             for worker, env, arrays in zip(group, envs, updates):
                 reply = Envelope(LOCAL_UPDATE, env.round_num, worker.client_id, encode_update_payload(arrays))
-                self._pending.append(encode_envelope(reply))
+                self._pending[worker.client_id] = encode_envelope(reply)
+        return len(frame) * len(self.workers)
 
     def gather_updates(self, round_num: int, timeout_s: float = 60.0) -> list[Envelope]:
-        collector = _UpdateCollector(self.num_clients, round_num, self.round_bytes)
-        for frame in self._pending:
-            collector.offer(decode_envelope(frame))
-        self._pending = []
-        if not collector.complete:
-            raise TransportError(f"round {round_num} missing updates from clients {collector.missing()}")
-        return collector.result()
+        frames, self._pending = self._pending, {}
+        envs = []
+        for cid in range(len(self.workers)):
+            if cid not in frames:
+                raise TransportError(f"round {round_num} missing an update from client {cid}")
+            check_update(frames[cid][:HEADER_SIZE], cid, round_num, self._update_size)
+            envs.append(decode_envelope(frames[cid]))
+        return envs
 
     def finish(self) -> None:
         frame = encode_envelope(Envelope(DONE, 0, 0))
@@ -308,9 +279,16 @@ class InProcessCarrier:
 # --- TCP carrier ------------------------------------------------------------
 
 
-def _recv_exact(sock: socket.socket, count: int) -> bytes:
+def _time_left(deadline: float) -> float:
+    """Seconds until ``deadline``, at least 1 us: past it, a socket wait times out at once."""
+    return max(deadline - time.monotonic(), 1e-6)
+
+
+def _recv_exact(sock: socket.socket, count: int, deadline: float | None = None) -> bytes:
     buf = bytearray()
     while len(buf) < count:
+        if deadline is not None:
+            sock.settimeout(_time_left(deadline))
         chunk = sock.recv(count - len(buf))
         if not chunk:
             raise TransportError(f"connection closed after {len(buf)} of {count} bytes")
@@ -318,21 +296,20 @@ def _recv_exact(sock: socket.socket, count: int) -> bytes:
     return bytes(buf)
 
 
-def read_frame(sock: socket.socket) -> Envelope:
-    header = _recv_exact(sock, HEADER_SIZE)
-    kind, round_num, client_id, length = _parse_header(header)
-    payload = _recv_exact(sock, length) if length else b""
-    return Envelope(kind, round_num, client_id, payload)
-
-
-def send_frame(sock: socket.socket, env: Envelope) -> int:
-    frame = encode_envelope(env)
-    sock.sendall(frame)
-    return len(frame)
+def read_frame(sock: socket.socket, deadline: float | None = None) -> Envelope:
+    """One frame; with a ``deadline`` (time.monotonic), each recv gets the time left."""
+    kind, round_num, client_id, length = _parse_header(_recv_exact(sock, HEADER_SIZE, deadline))
+    return Envelope(kind, round_num, client_id, _recv_exact(sock, length, deadline))
 
 
 class TcpServerCarrier:
-    """Accepts exactly P distinct clients, then drives synchronous rounds."""
+    """Accepts exactly P distinct clients, then drives synchronous rounds.
+
+    ``handshake_timeout_s`` bounds the whole handshake, every accept and
+    JOIN read under one deadline, and also each send to a client (JOIN_ACK,
+    GLOBAL_MODEL, DONE).  A round's reads are bounded by the ``timeout_s``
+    given to ``gather_updates``.
+    """
 
     def __init__(self, bind_addr: str, num_clients: int, handshake_timeout_s: float = 60.0):
         host, _, port = bind_addr.rpartition(":")
@@ -340,94 +317,90 @@ class TcpServerCarrier:
             raise TransportError(f"bind address {bind_addr!r} must look like HOST:PORT")
         self.num_clients = num_clients
         self.handshake_timeout_s = handshake_timeout_s
-        self.round_bytes = RoundBytes()
         self._conns: dict[int, socket.socket] = {}
-        self._inbox: queue.Queue = queue.Queue()
-        self._readers: list[threading.Thread] = []
+        self._update_size = 0
         self._listener = socket.create_server((host, int(port)), reuse_port=False)
         self.address = self._listener.getsockname()
 
-    def reset_round_bytes(self) -> None:
-        self.round_bytes = RoundBytes()
-
     def start(self, session: SessionConfig) -> None:
-        ack_payload = encode_join_ack(session)
-        self._listener.settimeout(self.handshake_timeout_s)
+        self._update_size = payload_size(session.algo_kind, session.initial_w.shape[0])
+        deadline = time.monotonic() + self.handshake_timeout_s
         try:
             while len(self._conns) < self.num_clients:
+                self._listener.settimeout(_time_left(deadline))
+                conn, peer = self._listener.accept()
                 try:
-                    conn, peer = self._listener.accept()
-                except socket.timeout:
-                    missing = sorted(set(range(self.num_clients)) - set(self._conns))
-                    raise TransportError(f"handshake timed out waiting for clients {missing}")
-                try:
-                    env = read_frame(conn)
-                except (ProtocolError, TransportError) as exc:
+                    env = read_frame(conn, deadline)
+                except (ProtocolError, TransportError, OSError) as exc:
+                    conn.close()
+                    if isinstance(exc, TimeoutError):
+                        raise
                     log.warning("rejecting %s during handshake: %s", peer, exc)
-                    conn.close()
-                    continue
-                if env.kind != JOIN:
-                    send_frame(conn, Envelope(ERROR, 0, env.client_id, b"expected JOIN"))
-                    conn.close()
                     continue
                 cid = env.client_id
-                if cid >= self.num_clients:
-                    send_frame(conn, Envelope(ERROR, 0, cid, f"client id {cid} out of range".encode()))
-                    conn.close()
+                if env.kind != JOIN:
+                    reason = "expected JOIN"
+                elif cid >= self.num_clients:
+                    reason = f"client id {cid} out of range"
+                elif cid in self._conns:
+                    reason = f"client id {cid} already joined"
+                else:
+                    self._conns[cid] = conn
                     continue
-                if cid in self._conns:
-                    send_frame(conn, Envelope(ERROR, 0, cid, f"client id {cid} already joined".encode()))
-                    conn.close()
-                    continue
-                self._conns[cid] = conn
-        finally:
-            self._listener.settimeout(None)
+                try:  # best effort, within what is left of the deadline
+                    conn.sendall(encode_envelope(Envelope(ERROR, 0, cid, reason.encode())))
+                except OSError:
+                    pass  # the peer is dropped either way
+                conn.close()
+        except TimeoutError:
+            missing = sorted(set(range(self.num_clients)) - set(self._conns))
+            raise TransportError(
+                f"handshake timed out after {self.handshake_timeout_s:g} s waiting for clients {missing}"
+            ) from None
+        ack_payload = encode_join_ack(session)
         for cid in sorted(self._conns):
-            send_frame(self._conns[cid], Envelope(JOIN_ACK, 0, cid, ack_payload))
-        for cid, conn in self._conns.items():
-            reader = threading.Thread(target=self._read_loop, args=(cid, conn), daemon=True)
-            reader.start()
-            self._readers.append(reader)
+            self._send(cid, encode_envelope(Envelope(JOIN_ACK, 0, cid, ack_payload)))
 
-    def _read_loop(self, cid: int, conn: socket.socket) -> None:
+    def _send(self, cid: int, frame: bytes) -> None:
+        conn = self._conns[cid]
+        conn.settimeout(self.handshake_timeout_s)
         try:
-            while True:
-                self._inbox.put(("env", cid, read_frame(conn)))
-        except (TransportError, ProtocolError, OSError) as exc:
-            self._inbox.put(("eof", cid, exc))
+            conn.sendall(frame)
+        except OSError as exc:
+            raise TransportError(
+                f"could not send {KIND_NAMES[frame[5]]} to client {cid} within {self.handshake_timeout_s:g} s: {exc}"
+            ) from exc
 
-    def broadcast_model(self, round_num: int, w: np.ndarray) -> None:
+    def broadcast_model(self, round_num: int, w: np.ndarray) -> int:
+        """Send GLOBAL_MODEL to every client in id order; returns the bytes sent."""
         frame = encode_envelope(Envelope(GLOBAL_MODEL, round_num, 0, encode_vector(w)))
         for cid in sorted(self._conns):
-            self._conns[cid].sendall(frame)
-            self.round_bytes.bytes_down += len(frame)
+            self._send(cid, frame)
+        return len(frame) * len(self._conns)
 
     def gather_updates(self, round_num: int, timeout_s: float = 60.0) -> list[Envelope]:
-        collector = _UpdateCollector(self.num_clients, round_num, self.round_bytes)
-        end = time.monotonic() + timeout_s
-        while not collector.complete:
-            remaining = end - time.monotonic()
-            if remaining <= 0:
-                raise TransportError(f"round {round_num} timed out; missing clients {collector.missing()}")
+        """Read one frame from each client, in id order, before one round deadline."""
+        deadline = time.monotonic() + timeout_s
+        envs = []
+        for cid in range(self.num_clients):
+            conn = self._conns[cid]
             try:
-                tag, cid, item = self._inbox.get(timeout=remaining)
-            except queue.Empty:
-                raise TransportError(f"round {round_num} timed out; missing clients {collector.missing()}")
-            if tag == "eof":
-                if cid not in collector.collected:
-                    raise TransportError(f"lost client {cid} during round {round_num}: {item}")
-                log.debug("client %d closed after delivering round %d", cid, round_num)
-                continue
-            collector.offer(item)
-        return collector.result()
+                header = check_update(_recv_exact(conn, HEADER_SIZE, deadline), cid, round_num, self._update_size)
+                env = Envelope(*header[:3], _recv_exact(conn, header[3], deadline))
+            except TimeoutError:
+                missing = list(range(cid, self.num_clients))
+                raise TransportError(f"round {round_num} timed out after {timeout_s:g} s; missing clients {missing}") from None
+            except (TransportError, OSError) as exc:
+                raise TransportError(f"lost client {cid} during round {round_num}: {exc}") from exc
+            if env.kind == ERROR:
+                raise TransportError(f"client {cid} reported: {env.payload.decode('utf-8', 'replace')}")
+            envs.append(env)
+        return envs
 
     def finish(self) -> None:
         frame = encode_envelope(Envelope(DONE, 0, 0))
         for cid in sorted(self._conns):
-            try:
-                self._conns[cid].sendall(frame)
-            except OSError:
-                log.warning("could not deliver DONE to client %d", cid)
+            self._send(cid, frame)
         self.close()
 
     def close(self) -> None:
@@ -463,7 +436,7 @@ class TcpClientChannel:
         self._sock.settimeout(timeout_s)
 
     def join(self) -> SessionConfig:
-        send_frame(self._sock, Envelope(JOIN, 0, self.client_id))
+        self._sock.sendall(encode_envelope(Envelope(JOIN, 0, self.client_id)))
         env = read_frame(self._sock)
         if env.kind == ERROR:
             raise TransportError(f"join rejected: {env.payload.decode('utf-8', 'replace')}")
@@ -472,14 +445,17 @@ class TcpClientChannel:
         return decode_join_ack(env.payload)
 
     def recv(self) -> Envelope:
-        return read_frame(self._sock)
+        try:
+            return read_frame(self._sock)
+        except OSError as exc:  # a timeout or a reset; a clean close is already a TransportError
+            raise TransportError(f"client {self.client_id} lost the server: {exc}") from exc
 
     def send_update(self, round_num: int, arrays: list[np.ndarray]) -> None:
         env = Envelope(LOCAL_UPDATE, round_num, self.client_id, encode_update_payload(arrays))
-        send_frame(self._sock, env)
+        self._sock.sendall(encode_envelope(env))
 
     def send_error(self, round_num: int, message: str) -> None:
-        send_frame(self._sock, Envelope(ERROR, round_num, self.client_id, message.encode()))
+        self._sock.sendall(encode_envelope(Envelope(ERROR, round_num, self.client_id, message.encode())))
 
     def close(self) -> None:
         try:

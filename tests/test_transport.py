@@ -1,3 +1,4 @@
+import socket
 import threading
 import time
 
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flcore import transport
+from flcore.config import parse_config
 from flcore.errors import ProtocolError, TransportError
 from flcore.models import ModelSpec
 from flcore.transport import (
@@ -29,6 +31,7 @@ from flcore.transport import (
     encode_vector,
     payload_size,
 )
+from flcore.runner import train
 
 GOLDEN_DONE = bytes.fromhex("464c4d50" "01" "04" "00000000" "00000000" "0000000000000000")
 
@@ -135,32 +138,58 @@ class TestPayloadSize:
 
 
 class TestUpdateCollector:
-    def make(self, num_clients=2, round_num=3):
-        return transport._UpdateCollector(num_clients, round_num, transport.RoundBytes())
+    """``check_update``: the one check every gathered frame passes, on both carriers."""
 
-    def test_stale_round_dropped_silently(self):
-        collector = self.make()
-        collector.offer(Envelope(LOCAL_UPDATE, 2, 0, b""))
-        assert not collector.collected
-        assert collector.counters.bytes_up == 0
+    SIZE = 24  # one vector of m = 2
+
+    def check(self, kind, round_num, client_id, length=SIZE):
+        header = transport.HEADER.pack(transport.MAGIC, transport.VERSION, kind, round_num, client_id, length)
+        return transport.check_update(header, 0, 3, self.SIZE)
+
+    def test_stale_round_is_protocol_error(self):
+        # Rounds are synchronous, so an update for an earlier round can only be a duplicate.
+        with pytest.raises(ProtocolError, match="client 0 sent LOCAL_UPDATE for round 2 during round 3"):
+            self.check(LOCAL_UPDATE, 2, 0)
 
     def test_future_round_is_protocol_error(self):
         with pytest.raises(ProtocolError, match="round 4"):
-            self.make().offer(Envelope(LOCAL_UPDATE, 4, 0, b""))
+            self.check(LOCAL_UPDATE, 4, 0)
 
     def test_duplicate_update_is_protocol_error(self):
-        collector = self.make()
-        collector.offer(Envelope(LOCAL_UPDATE, 3, 1, b""))
-        with pytest.raises(ProtocolError, match="duplicate"):
-            collector.offer(Envelope(LOCAL_UPDATE, 3, 1, b""))
+        # The second copy of the round-1 update is the frame read for round 2.
+        def send_twice(channel):
+            env = channel.recv()
+            channel.send_update(env.round_num, [np.zeros(2)])
+            channel.send_update(env.round_num, [np.zeros(2)])
+            channel.recv()
+
+        carrier, thread = scripted_session(send_twice)
+        carrier.broadcast_model(1, np.zeros(2))
+        carrier.gather_updates(1, timeout_s=10.0)
+        carrier.broadcast_model(2, np.zeros(2))
+        with pytest.raises(ProtocolError, match="client 0 sent LOCAL_UPDATE for round 1 during round 2"):
+            carrier.gather_updates(2, timeout_s=10.0)
+        carrier.close()
+        thread.join(timeout=10.0)
+        assert not thread.is_alive()
 
     def test_unknown_client_rejected(self):
-        with pytest.raises(ProtocolError, match="unknown client"):
-            self.make().offer(Envelope(LOCAL_UPDATE, 3, 9, b""))
+        with pytest.raises(ProtocolError, match="client 0 sent a frame as client 9"):
+            self.check(LOCAL_UPDATE, 3, 9)
 
     def test_client_error_envelope_surfaces(self):
-        with pytest.raises(TransportError, match="boom"):
-            self.make().offer(Envelope(ERROR, 3, 0, b"boom"))
+        def fail(channel):
+            env = channel.recv()
+            channel.send_error(env.round_num, "boom")
+            channel.recv()  # ends when the server closes
+
+        carrier, thread = scripted_session(fail)
+        carrier.broadcast_model(1, np.zeros(2))
+        with pytest.raises(TransportError, match="client 0 reported: boom"):
+            carrier.gather_updates(1, timeout_s=10.0)
+        carrier.close()
+        thread.join(timeout=10.0)
+        assert not thread.is_alive()
 
 
 class EchoWorker:
@@ -196,13 +225,25 @@ class TestInProcessCarrier:
     def test_byte_accounting(self):
         carrier = transport.InProcessCarrier([EchoWorker(i) for i in range(3)])
         carrier.start(make_session(m=2))
-        carrier.reset_round_bytes()
-        carrier.broadcast_model(1, np.array([1.0, 2.0]))
+        assert carrier.broadcast_model(1, np.array([1.0, 2.0])) == 3 * (22 + 8 + 16)
         envs = carrier.gather_updates(1)
-        assert carrier.round_bytes.bytes_down == 3 * (22 + 8 + 16)
-        assert carrier.round_bytes.bytes_up == 3 * (22 + 8 + 16)
-        assert carrier.round_bytes.payload_bytes_up == 3 * 24
         assert [e.client_id for e in envs] == [0, 1, 2]
+        assert [len(e.payload) for e in envs] == [8 + 16] * 3
+
+        # The runner counts each round's frames from those two results.
+        cfg = parse_config(
+            {
+                "model": {"kind": "softmax", "input_dim": 2, "output_dim": 3},
+                "algo": {"kind": "iceadmm", "rounds": 2},
+                "data": {"source": "synthetic-blobs", "n": 60, "input_dim": 2, "classes": 3},
+                "run": {"clients": 3, "seed": 0},
+            }
+        )
+        m, up = 9, payload_size("iceadmm", 9)
+        for metrics in train(cfg).metrics:
+            assert metrics.bytes_down == 3 * (22 + 8 + 8 * m)
+            assert metrics.bytes_up == 3 * (22 + up)
+            assert metrics.payload_bytes_up == 3 * up
 
     def test_gather_is_sorted_and_complete(self):
         carrier = transport.InProcessCarrier([EchoWorker(i) for i in reversed(range(5))])
@@ -248,6 +289,29 @@ def run_echo_client(port, client_id, rounds, vectors=1, join_only=False, result=
             result.append(exc)
 
 
+def scripted_session(script, rounds=2):
+    """A started one-client TCP carrier whose client joins, then runs ``script(channel)`` in a thread.
+
+    The TransportError a client gets when the server closes on it is expected.
+    """
+    carrier = TcpServerCarrier("127.0.0.1:0", num_clients=1, handshake_timeout_s=10.0)
+
+    def client():
+        channel = TcpClientChannel(f"127.0.0.1:{carrier.address[1]}", 0, timeout_s=10.0)
+        try:
+            channel.join()
+            script(channel)
+        except TransportError:
+            pass
+        finally:
+            channel.close()
+
+    thread = threading.Thread(target=client)
+    thread.start()
+    carrier.start(make_session(rounds=rounds))
+    return carrier, thread
+
+
 class TestTcpCarrier:
     def test_full_session_with_byte_accounting(self):
         carrier = TcpServerCarrier("127.0.0.1:0", num_clients=2, handshake_timeout_s=10.0)
@@ -261,11 +325,10 @@ class TestTcpCarrier:
             t.start()
         carrier.start(make_session(m=2, rounds=2))
         for round_num in (1, 2):
-            carrier.reset_round_bytes()
-            carrier.broadcast_model(round_num, np.array([3.5, -1.0]))
+            assert carrier.broadcast_model(round_num, np.array([3.5, -1.0])) == 2 * (22 + 24)
             envs = carrier.gather_updates(round_num, timeout_s=10.0)
             assert [e.client_id for e in envs] == [0, 1]
-            assert carrier.round_bytes.bytes_up == 2 * (22 + 24)
+            assert [len(e.payload) for e in envs] == [24, 24]
         carrier.finish()
         for t in threads:
             t.join(timeout=10.0)
@@ -344,7 +407,9 @@ class TestTcpCarrier:
             channel = TcpClientChannel(f"127.0.0.1:{port}", 0, timeout_s=10.0)
             channel.join()
             channel.recv()  # receive the model, never answer
-            channel.recv()  # blocks until server closes
+            with pytest.raises(TransportError):
+                channel.recv()  # blocks until the server closes
+            channel.close()
 
         t = threading.Thread(target=silent_client, daemon=True)
         t.start()
@@ -352,6 +417,88 @@ class TestTcpCarrier:
         carrier.broadcast_model(1, np.zeros(2))
         with pytest.raises(TransportError, match=r"missing clients \[0\]"):
             carrier.gather_updates(1, timeout_s=0.3)
+        carrier.close()
+        t.join(timeout=5.0)
+        assert not t.is_alive()
+
+    @pytest.mark.parametrize("trickle", [False, True], ids=["silent", "trickling"])
+    def test_slow_peer_ends_handshake_at_its_deadline(self, trickle):
+        carrier = TcpServerCarrier("127.0.0.1:0", num_clients=1, handshake_timeout_s=1.0)
+        peer = socket.create_connection(carrier.address[:2])
+
+        def send_join_byte_by_byte():  # 22 bytes at 0.1 s each outlast the deadline
+            try:
+                for byte in encode_envelope(Envelope(JOIN, 0, 0)):
+                    peer.sendall(bytes([byte]))
+                    time.sleep(0.1)
+            except OSError:
+                pass  # the server gave up on this peer
+
+        sender = threading.Thread(target=send_join_byte_by_byte if trickle else lambda: None)
+        sender.start()
+        begin = time.monotonic()
+        with pytest.raises(TransportError, match=r"handshake timed out after 1 s waiting for clients \[0\]"):
+            carrier.start(make_session())
+        assert 1.0 <= time.monotonic() - begin < 1.0 + 0.5
+        sender.join(timeout=5.0)
+        assert not sender.is_alive()
+        peer.close()
+        carrier.close()
+
+    def test_send_to_client_that_never_reads_times_out(self):
+        carrier = TcpServerCarrier("127.0.0.1:0", num_clients=1, handshake_timeout_s=0.5)
+        channel = TcpClientChannel(f"127.0.0.1:{carrier.address[1]}", 0, timeout_s=10.0)
+        joiner = threading.Thread(target=channel.join)  # joins, then never reads again
+        joiner.start()
+        carrier.start(make_session())
+        joiner.join(timeout=10.0)
+        begin = time.monotonic()
+        with pytest.raises(TransportError, match="could not send GLOBAL_MODEL to client 0 within 0.5 s"):
+            carrier.broadcast_model(1, np.zeros(2_000_001))
+        assert time.monotonic() - begin < 0.5 + 0.5
+        carrier.close()
+        channel.close()
+
+    @pytest.mark.parametrize("answered", [False, True], ids=["silent", "answered"])
+    def test_server_abort_reaches_blocked_client(self, answered):
+        # A server closing with the client's update unread resets the connection instead of closing it.
+        carrier = TcpServerCarrier("127.0.0.1:0", num_clients=1, handshake_timeout_s=10.0)
+        channel = TcpClientChannel(f"127.0.0.1:{carrier.address[1]}", 0, timeout_s=10.0)
+        outcome = []
+
+        def client():
+            channel.join()
+            if answered:
+                channel.send_update(1, [np.zeros(2)])
+            try:
+                channel.recv()
+            except TransportError as exc:
+                outcome.append((exc, time.monotonic()))
+
+        t = threading.Thread(target=client)
+        t.start()
+        carrier.start(make_session())
+        time.sleep(0.2)  # let the client block in recv
+        closed = time.monotonic()
+        carrier.close()
+        t.join(timeout=10.0)
+        channel.close()
+        assert outcome, "client did not get TransportError"
+        assert outcome[0][1] - closed < 1.0
+
+    def test_forged_update_length_rejected_from_header(self):
+        carrier = TcpServerCarrier("127.0.0.1:0", num_clients=1, handshake_timeout_s=10.0)
+        with socket.create_connection(carrier.address[:2], timeout=10.0) as raw:
+            raw.sendall(encode_envelope(Envelope(JOIN, 0, 0)))
+            carrier.start(make_session())
+            assert transport.read_frame(raw).kind == JOIN_ACK
+            carrier.broadcast_model(1, np.zeros(2))
+            assert transport.read_frame(raw).kind == GLOBAL_MODEL
+            raw.sendall(transport.HEADER.pack(transport.MAGIC, transport.VERSION, LOCAL_UPDATE, 1, 0, 2**31))
+            begin = time.monotonic()
+            with pytest.raises(ProtocolError, match="client 0 declared a 2147483648-byte update"):
+                carrier.gather_updates(1, timeout_s=5.0)
+            assert time.monotonic() - begin < 0.5
         carrier.close()
 
     def test_identical_bytes_across_carriers(self):
