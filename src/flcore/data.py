@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from . import rng
-from .errors import ConfigError, IngestionError
+from .errors import ConfigError, IngestionError, ShapeError
 from .models import Batch
 
 IDX_IMAGES_MAGIC = 0x00000803
@@ -181,6 +181,7 @@ def batches(
     client_ids: Sequence[int],
     round_num: int,
     epoch: int,
+    out: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> list[Batch]:
     """Seeded mini-batches for a group of clients with equal local sizes.
 
@@ -188,7 +189,9 @@ def batches(
     epoch) into row p of one (P, n, d) array, and batch b is its slice
     [:, b*batch_size : (b+1)*batch_size], so every batch is a stack
     (see ``Batch``) covering each client's data exactly once per epoch; the
-    last batch may be smaller.
+    last batch may be smaller.  The stack is new arrays, or the caller's
+    ``out`` = (inputs (P, n, d), labels (P, n)), every row of which the
+    shuffle overwrites; the batches are then views of ``out``.
     """
     sizes = {data.size for data in datasets}
     if len(sizes) != 1 or len(client_ids) != len(datasets):
@@ -199,8 +202,12 @@ def batches(
     if plan.batch_size < 1:
         raise ConfigError("batch_size must be positive")
     first = datasets[0]
-    inputs = np.empty((len(datasets), *first.inputs.shape), first.inputs.dtype)
-    labels = np.empty((len(datasets), *first.labels.shape), first.labels.dtype)
+    if out is None:
+        out = shuffle_buffer(first, len(datasets))
+    inputs, labels = out
+    want = (len(datasets), *first.inputs.shape), (len(datasets), *first.labels.shape)
+    if (inputs.shape, labels.shape) != want:
+        raise ShapeError(f"shuffle buffer of shapes {inputs.shape}, {labels.shape} does not fit {want}")
     for p, (data, client_id) in enumerate(zip(datasets, client_ids)):
         order = rng.shuffle_stream(plan.shuffle_seed, client_id, round_num, epoch).permutation(n)
         # ``order`` is a permutation, so "clip" never clips; unlike the
@@ -211,6 +218,14 @@ def batches(
         Batch(inputs[:, start : start + plan.batch_size], labels[:, start : start + plan.batch_size])
         for start in range(0, n, plan.batch_size)
     ]
+
+
+def shuffle_buffer(data: Dataset, clients: int) -> tuple[np.ndarray, np.ndarray]:
+    """Uninitialised (inputs, labels) stack for ``batches`` over ``clients`` datasets shaped like ``data``."""
+    return (
+        np.empty((clients, *data.inputs.shape), data.inputs.dtype),
+        np.empty((clients, *data.labels.shape), data.labels.dtype),
+    )
 
 
 def train_test_split(dataset: Dataset, test_fraction: float, seed: int) -> tuple[Dataset, Dataset]:

@@ -148,6 +148,81 @@ def _t(a: np.ndarray) -> np.ndarray:
     return a.swapaxes(-1, -2)
 
 
+def _as_stack(spec: ModelSpec, params: np.ndarray, batch: Batch) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Check a batch against the params and lift an unstacked call to a stack of one."""
+    x = np.asarray(batch.inputs, dtype=np.float64)
+    _check_shapes(spec, params, x)
+    if x.shape[-2] < 1:
+        raise ShapeError("batch must contain at least one sample")
+    labels = np.asarray(batch.labels)
+    if labels.shape != x.shape[:-1]:
+        raise ShapeError(f"expected labels of shape {x.shape[:-1]}, got shape {labels.shape}")
+    if params.ndim == 1:
+        return params[None], x[None], labels[None]
+    return params, x, labels
+
+
+def _outputs(spec: ModelSpec, params: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """Forward pass over a stack: regression values (P, n) or class logits (P, n, k).
+
+    Also returns mlp1's ReLU layer (P, n, h), which the backward pass reads;
+    it is built in one buffer.
+    """
+    if spec.kind == "linear-regression":
+        w, b = _unpack_linear(spec, params)
+        return (x @ w[..., None])[..., 0] + b[:, None], None
+    if spec.kind == "softmax":
+        wmat, bias = _unpack_softmax(spec, params)
+        return x @ _t(wmat) + bias[:, None, :], None
+    w1, b1, w2, b2 = _unpack_mlp(spec, params)
+    hidden = np.matmul(x, _t(w1))
+    hidden += b1[:, None, :]
+    np.maximum(hidden, 0.0, out=hidden)
+    return hidden @ _t(w2) + b2[:, None, :], hidden
+
+
+def _forward(spec: ModelSpec, params: np.ndarray, x: np.ndarray, labels: np.ndarray):
+    """Losses (P,) of a stack, with the outputs and what the backward pass reads.
+
+    Returns (loss, outputs, hidden, err, onehot): err is the residuals of a
+    regression, or the log-probabilities of a classifier, whose one-hot
+    label mask is ``onehot``.
+    """
+    n = x.shape[-2]
+    out, hidden = _outputs(spec, params, x)
+    if spec.kind == "linear-regression":
+        resid = out - labels.astype(np.float64)
+        return 0.5 * (resid[:, None, :] @ resid[..., None])[:, 0, 0] / n, out, hidden, resid, None
+    y = _class_labels(spec, labels)
+    onehot = y[..., None] == np.arange(spec.output_dim)
+    logp = _log_softmax(out)
+    return -logp[onehot].reshape(y.shape).sum(axis=-1) / n, out, hidden, logp, onehot
+
+
+def _check_finite(spec: ModelSpec, loss: np.ndarray, grad: np.ndarray | None = None) -> None:
+    finite = np.isfinite(loss)
+    if grad is not None:
+        finite &= np.isfinite(grad).all(axis=-1)
+    if not finite.all():
+        raise NumericError(f"non-finite loss/gradient for {spec.kind} model", row=int(np.argmin(finite)))
+
+
+def loss_and_outputs(spec: ModelSpec, params: np.ndarray, batch: Batch) -> tuple[float | np.ndarray, np.ndarray]:
+    """Batch-mean loss and the model's outputs, from the forward pass alone.
+
+    The outputs are regression values, or class logits whose argmax is what
+    ``predict`` returns.  Shapes follow ``loss_and_grad``, and the loss is
+    bitwise the one ``loss_and_grad`` returns.
+    """
+    stacked = params.ndim == 2
+    params, x, labels = _as_stack(spec, params, batch)
+    loss, out, *_ = _forward(spec, params, x, labels)
+    _check_finite(spec, loss)
+    if stacked:
+        return loss, out
+    return float(loss[0]), out[0]
+
+
 def loss_and_grad(spec: ModelSpec, params: np.ndarray, batch: Batch) -> tuple[float | np.ndarray, np.ndarray]:
     """Batch-mean loss and its gradient with respect to the flat parameters.
 
@@ -157,49 +232,37 @@ def loss_and_grad(spec: ModelSpec, params: np.ndarray, batch: Batch) -> tuple[fl
     bitwise what the unstacked call returns for client p: each product is
     one BLAS call per client on the same operands, and each reduction runs
     over the same axis.  A NumericError carries the first non-finite row.
+    The backward pass works in the forward pass's buffers and writes each
+    gradient part straight into its slice of the flat gradient.
     """
-    x = np.asarray(batch.inputs, dtype=np.float64)
-    _check_shapes(spec, params, x)
-    n = x.shape[-2]
-    if n < 1:
-        raise ShapeError("batch must contain at least one sample")
-    labels = np.asarray(batch.labels)
-    if labels.shape != x.shape[:-1]:
-        raise ShapeError(f"expected labels of shape {x.shape[:-1]}, got shape {labels.shape}")
     stacked = params.ndim == 2
-    if not stacked:
-        params, x, labels = params[None], x[None], labels[None]
-    count = params.shape[0]
-
+    params, x, labels = _as_stack(spec, params, batch)
+    loss, _, hidden, err, onehot = _forward(spec, params, x, labels)
+    count, n = x.shape[0], x.shape[-2]
+    d, k, h = spec.input_dim, spec.output_dim, spec.hidden_dim
+    grad = np.empty_like(params)
     if spec.kind == "linear-regression":
-        w, b = _unpack_linear(spec, params)
-        resid = (x @ w[..., None])[..., 0] + b[:, None] - labels.astype(np.float64)
-        loss = 0.5 * (resid[:, None, :] @ resid[..., None])[:, 0, 0] / n
-        grad = np.empty_like(params)
-        grad[:, : spec.input_dim] = (_t(x) @ resid[..., None])[..., 0] / n
-        grad[:, spec.input_dim] = resid.sum(axis=-1) / n
+        grad[:, :d] = (_t(x) @ err[..., None])[..., 0] / n
+        grad[:, d] = err.sum(axis=-1) / n
     else:
-        y = _class_labels(spec, labels)
-        onehot = y[..., None] == np.arange(spec.output_dim)
+        # exp(log p) - onehot, scaled by 1/n, in the buffer of log p.
+        delta = np.exp(err, out=err)
+        delta -= onehot
+        delta /= n
         if spec.kind == "softmax":
-            wmat, bias = _unpack_softmax(spec, params)
-            logp = _log_softmax(x @ _t(wmat) + bias[:, None, :])
-            delta = (np.exp(logp) - onehot) / n
-            parts = [_t(delta) @ x, delta.sum(axis=-2)]
+            np.matmul(_t(delta), x, out=grad[:, : k * d].reshape(count, k, d))
+            grad[:, k * d :] = delta.sum(axis=-2)
         else:
-            w1, b1, w2, b2 = _unpack_mlp(spec, params)
-            pre = x @ _t(w1) + b1[:, None, :]
-            hidden = np.maximum(pre, 0.0)
-            logp = _log_softmax(hidden @ _t(w2) + b2[:, None, :])
-            delta2 = (np.exp(logp) - onehot) / n
-            dpre = (delta2 @ w2) * (pre > 0.0)
-            parts = [_t(dpre) @ x, dpre.sum(axis=-2), _t(delta2) @ hidden, delta2.sum(axis=-2)]
-        loss = -logp[onehot].reshape(y.shape).sum(axis=-1) / n
-        grad = np.concatenate([part.reshape(count, -1) for part in parts], axis=1)
-
-    if not (np.isfinite(loss).all() and np.isfinite(grad).all()):
-        finite = np.isfinite(loss) & np.isfinite(grad).all(axis=-1)
-        raise NumericError(f"non-finite loss/gradient for {spec.kind} model", row=int(np.argmin(finite)))
+            _, _, w2, _ = _unpack_mlp(spec, params)
+            o = h * (d + 1)
+            dpre = delta @ w2
+            # hidden > 0 is pre > 0, NaN included: max(NaN, 0) is NaN.
+            dpre *= hidden > 0.0
+            np.matmul(_t(dpre), x, out=grad[:, : h * d].reshape(count, h, d))
+            grad[:, h * d : o] = dpre.sum(axis=-2)
+            np.matmul(_t(delta), hidden, out=grad[:, o : o + k * h].reshape(count, k, h))
+            grad[:, o + k * h :] = delta.sum(axis=-2)
+    _check_finite(spec, loss, grad)
     if stacked:
         return loss, grad
     return float(loss[0]), grad[0]
@@ -209,10 +272,8 @@ def predict(spec: ModelSpec, params: np.ndarray, inputs: np.ndarray) -> np.ndarr
     """Regression value, or argmax class index with ties to the smallest index."""
     x = np.asarray(inputs, dtype=np.float64)
     _check_shapes(spec, params, x)
-    if spec.kind == "linear-regression":
-        w, b = _unpack_linear(spec, params)
-        return x @ w + b
-    return np.argmax(_logits(spec, params, x), axis=1)
+    out = _outputs(spec, params[None], x[None])[0][0]
+    return out if spec.kind == "linear-regression" else np.argmax(out, axis=-1)
 
 
 def predict_proba(spec: ModelSpec, params: np.ndarray, inputs: np.ndarray) -> np.ndarray:
@@ -221,15 +282,7 @@ def predict_proba(spec: ModelSpec, params: np.ndarray, inputs: np.ndarray) -> np
         raise ShapeError("probabilities are only defined for classifier models")
     x = np.asarray(inputs, dtype=np.float64)
     _check_shapes(spec, params, x)
-    return np.exp(_log_softmax(_logits(spec, params, x)))
-
-
-def _logits(spec: ModelSpec, params: np.ndarray, x: np.ndarray) -> np.ndarray:
-    if spec.kind == "softmax":
-        wmat, bias = _unpack_softmax(spec, params)
-        return x @ wmat.T + bias
-    w1, b1, w2, b2 = _unpack_mlp(spec, params)
-    return np.maximum(x @ w1.T + b1, 0.0) @ w2.T + b2
+    return np.exp(_log_softmax(_outputs(spec, params[None], x[None])[0][0]))
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,9 @@ from .algorithms import ALGORITHMS, dual_update, fedavg_global, iceadmm_global, 
 from .config import RunConfig, build_data
 from .data import Dataset
 from .errors import ConfigError, FlcoreError, ProtocolError
-from .models import Batch, ModelSpec, init_params, loss_and_grad, param_count, predict
+from .models import Batch, ModelSpec, init_params, loss_and_outputs, param_count
+# Unused here, but flbench/tracing.py patches these names in this module (ROADMAP item 3).
+from .models import loss_and_grad, predict  # noqa: F401
 from .privacy import NoiseSpec, dp_budget_report, sensitivity
 from .transport import HEADER_SIZE, InProcessCarrier, RoundMetrics, SessionConfig, decode_vectors
 from .worker import ClientWorker
@@ -58,13 +60,13 @@ def metrics_line(m: RoundMetrics) -> str:
 
 
 def validate(spec: ModelSpec, params: np.ndarray, test_data: Dataset) -> tuple[float, float | None]:
-    """Mean loss and (for classifiers) argmax accuracy on held-out data."""
+    """Mean loss and (for classifiers) argmax accuracy on a dataset, from one forward pass."""
     if test_data.size == 0:
         raise ConfigError("validation requires a nonempty test set")
-    loss, _ = loss_and_grad(spec, params, Batch(test_data.inputs, test_data.labels))
+    loss, outputs = loss_and_outputs(spec, params, Batch(test_data.inputs, test_data.labels))
     accuracy = None
     if spec.is_classifier:
-        accuracy = float(np.mean(predict(spec, params, test_data.inputs) == test_data.labels))
+        accuracy = float(np.mean(np.argmax(outputs, axis=-1) == test_data.labels))
     return loss, accuracy
 
 
@@ -163,20 +165,19 @@ def _run_round(config, carrier, t, w, duals, weights, views, test_data):
     train_loss = 0.0
     residual = 0.0
     for p, view in enumerate(views):
-        loss, _ = loss_and_grad(spec, z_list[p], Batch(view.inputs, view.labels))
+        loss, _ = validate(spec, z_list[p], view)
         train_loss += weights[p] * loss
         residual = max(residual, float(np.max(np.abs(w_new - z_list[p]))))
 
-    test_loss = test_acc = None
+    test_acc = None
     if test_data.size and (t % config.eval_every == 0 or t == algo.rounds):
-        test_loss, test_acc = validate(spec, w_new, test_data)
+        _, test_acc = validate(spec, w_new, test_data)
 
     payload_up = sum(len(env.payload) for env in envelopes)
     metrics = RoundMetrics(
         round_num=t,
         train_loss=train_loss,
         test_accuracy=test_acc,
-        test_loss=test_loss,
         consensus_residual=residual,
         bytes_up=payload_up + HEADER_SIZE * len(envelopes),
         bytes_down=bytes_down,

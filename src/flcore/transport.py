@@ -31,6 +31,7 @@ timeout, and each round's reads by one round deadline (``run.timeout_s``).
 from __future__ import annotations
 
 import logging
+import selectors
 import socket
 import struct
 import time
@@ -73,7 +74,6 @@ class RoundMetrics:
     round_num: int
     train_loss: float = 0.0
     test_accuracy: float | None = None
-    test_loss: float | None = None
     consensus_residual: float = 0.0
     bytes_up: int = 0
     bytes_down: int = 0
@@ -296,10 +296,10 @@ def _recv_exact(sock: socket.socket, count: int, deadline: float | None = None) 
     return bytes(buf)
 
 
-def read_frame(sock: socket.socket, deadline: float | None = None) -> Envelope:
-    """One frame; with a ``deadline`` (time.monotonic), each recv gets the time left."""
-    kind, round_num, client_id, length = _parse_header(_recv_exact(sock, HEADER_SIZE, deadline))
-    return Envelope(kind, round_num, client_id, _recv_exact(sock, length, deadline))
+def read_frame(sock: socket.socket) -> Envelope:
+    """One frame, under the socket's own timeout."""
+    kind, round_num, client_id, length = _parse_header(_recv_exact(sock, HEADER_SIZE))
+    return Envelope(kind, round_num, client_id, _recv_exact(sock, length))
 
 
 class TcpServerCarrier:
@@ -325,41 +325,68 @@ class TcpServerCarrier:
     def start(self, session: SessionConfig) -> None:
         self._update_size = payload_size(session.algo_kind, session.initial_w.shape[0])
         deadline = time.monotonic() + self.handshake_timeout_s
-        try:
-            while len(self._conns) < self.num_clients:
-                self._listener.settimeout(_time_left(deadline))
-                conn, peer = self._listener.accept()
-                try:
-                    env = read_frame(conn, deadline)
-                except (ProtocolError, TransportError, OSError) as exc:
-                    conn.close()
-                    if isinstance(exc, TimeoutError):
-                        raise
-                    log.warning("rejecting %s during handshake: %s", peer, exc)
-                    continue
-                cid = env.client_id
-                if env.kind != JOIN:
-                    reason = "expected JOIN"
-                elif cid >= self.num_clients:
-                    reason = f"client id {cid} out of range"
-                elif cid in self._conns:
-                    reason = f"client id {cid} already joined"
-                else:
-                    self._conns[cid] = conn
-                    continue
-                try:  # best effort, within what is left of the deadline
-                    conn.sendall(encode_envelope(Envelope(ERROR, 0, cid, reason.encode())))
-                except OSError:
-                    pass  # the peer is dropped either way
-                conn.close()
-        except TimeoutError:
-            missing = sorted(set(range(self.num_clients)) - set(self._conns))
-            raise TransportError(
-                f"handshake timed out after {self.handshake_timeout_s:g} s waiting for clients {missing}"
-            ) from None
+        # One selector serves every peer at once: it accepts whoever is
+        # pending and reads JOIN bytes from whichever socket has them, so a
+        # silent peer holds only its own connection, not the handshake.
+        with selectors.DefaultSelector() as selector:
+            self._listener.setblocking(False)
+            selector.register(self._listener, selectors.EVENT_READ)
+            try:
+                while len(self._conns) < self.num_clients:
+                    left = deadline - time.monotonic()
+                    if left <= 0:
+                        missing = sorted(set(range(self.num_clients)) - set(self._conns))
+                        raise TransportError(
+                            f"handshake timed out after {self.handshake_timeout_s:g} s waiting for clients {missing}"
+                        )
+                    for key, _ in selector.select(left):
+                        if key.fileobj is self._listener:
+                            try:
+                                conn, peer = self._listener.accept()
+                            except (BlockingIOError, ConnectionAbortedError):
+                                continue  # the peer left between select and accept
+                            conn.setblocking(False)
+                            selector.register(conn, selectors.EVENT_READ, (peer, bytearray()))
+                        else:
+                            self._read_join(selector, key.fileobj, *key.data)
+            finally:
+                for key in selector.get_map().values():
+                    if key.fileobj is not self._listener:
+                        key.fileobj.close()
         ack_payload = encode_join_ack(session)
         for cid in sorted(self._conns):
             self._send(cid, encode_envelope(Envelope(JOIN_ACK, 0, cid, ack_payload)))
+
+    def _read_join(self, selector, conn: socket.socket, peer, buf: bytearray) -> None:
+        """Take the bytes a handshaking peer has sent; once its JOIN header is whole, admit or reject it."""
+        try:
+            chunk = conn.recv(HEADER_SIZE - len(buf))
+            if not chunk:
+                raise TransportError(f"connection closed after {len(buf)} bytes")
+            buf += chunk
+            if len(buf) < HEADER_SIZE:
+                return
+            kind, _, cid, length = _parse_header(bytes(buf))
+        except (ProtocolError, TransportError, OSError) as exc:
+            selector.unregister(conn)
+            conn.close()
+            log.warning("rejecting %s during handshake: %s", peer, exc)
+            return
+        selector.unregister(conn)
+        if kind != JOIN or length:
+            reason = "expected a JOIN without payload"
+        elif cid >= self.num_clients:
+            reason = f"client id {cid} out of range"
+        elif cid in self._conns:
+            reason = f"client id {cid} already joined"
+        else:
+            self._conns[cid] = conn
+            return
+        try:  # best effort: the peer is dropped either way
+            conn.sendall(encode_envelope(Envelope(ERROR, 0, cid, reason.encode())))
+        except OSError:
+            pass
+        conn.close()
 
     def _send(self, cid: int, frame: bytes) -> None:
         conn = self._conns[cid]
@@ -436,8 +463,8 @@ class TcpClientChannel:
         self._sock.settimeout(timeout_s)
 
     def join(self) -> SessionConfig:
-        self._sock.sendall(encode_envelope(Envelope(JOIN, 0, self.client_id)))
-        env = read_frame(self._sock)
+        self._send(Envelope(JOIN, 0, self.client_id))
+        env = self.recv()
         if env.kind == ERROR:
             raise TransportError(f"join rejected: {env.payload.decode('utf-8', 'replace')}")
         if env.kind != JOIN_ACK:
@@ -451,11 +478,16 @@ class TcpClientChannel:
             raise TransportError(f"client {self.client_id} lost the server: {exc}") from exc
 
     def send_update(self, round_num: int, arrays: list[np.ndarray]) -> None:
-        env = Envelope(LOCAL_UPDATE, round_num, self.client_id, encode_update_payload(arrays))
-        self._sock.sendall(encode_envelope(env))
+        self._send(Envelope(LOCAL_UPDATE, round_num, self.client_id, encode_update_payload(arrays)))
 
     def send_error(self, round_num: int, message: str) -> None:
-        self._sock.sendall(encode_envelope(Envelope(ERROR, round_num, self.client_id, message.encode())))
+        self._send(Envelope(ERROR, round_num, self.client_id, message.encode()))
+
+    def _send(self, env: Envelope) -> None:
+        try:
+            self._sock.sendall(encode_envelope(env))
+        except OSError as exc:
+            raise TransportError(f"client {self.client_id} could not send {KIND_NAMES[env.kind]}: {exc}") from exc
 
     def close(self) -> None:
         try:

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import algorithms, transport
 from .config import RunConfig, build_data
-from .data import BatchPlan, Dataset, batches
+from .data import BatchPlan, Dataset, batches, shuffle_buffer
 from .errors import ConfigError, FlcoreError, NumericError, ProtocolError, TransportError
 from .models import Batch, loss_and_grad
 from .privacy import NoiseSpec, noise_stream, perturb_output, sensitivity
@@ -39,6 +39,9 @@ class ClientWorker:
         self.rounds = config.algo.rounds
         self.z: np.ndarray | None = None
         self.lam: np.ndarray | None = None
+        # The (inputs, labels) stack that ``handle_group`` shuffles into when
+        # this worker leads its group, kept for the whole run.
+        self.shuffle: tuple[np.ndarray, np.ndarray] | None = None
 
     # -- handshake -----------------------------------------------------------
 
@@ -93,7 +96,8 @@ class ClientWorker:
         ``loss_and_grad`` call per local step serves every client; batches,
         noise and the IIADMM dual step use each client's own streams and
         state, so each client's payload vectors, returned in worker order,
-        are bitwise what it computes alone.
+        are bitwise what it computes alone.  The mini-batches are views of
+        the first worker's shuffle buffer, allocated on its first batched round.
         """
         for worker in workers:
             if worker.lam is None or worker.z is None:
@@ -107,8 +111,12 @@ class ClientWorker:
         def grad(z: np.ndarray, batch: Batch) -> np.ndarray:
             return loss_and_grad(spec, z, batch)[1]
 
+        lead = workers[0]
+
         def epoch_batches(epoch: int) -> list[Batch]:
-            return batches([w.local for w in workers], workers[0].plan, client_ids, round_num, epoch)
+            if lead.shuffle is None or lead.shuffle[0].shape[0] != len(workers):
+                lead.shuffle = shuffle_buffer(lead.local, len(workers))
+            return batches([w.local for w in workers], lead.plan, client_ids, round_num, epoch, lead.shuffle)
 
         try:
             if algo.kind == "fedavg":

@@ -13,9 +13,10 @@ from flcore.data import (
     load_csv,
     load_idx,
     partition,
+    shuffle_buffer,
     train_test_split,
 )
-from flcore.errors import ConfigError, IngestionError
+from flcore.errors import ConfigError, IngestionError, ShapeError
 from flcore.models import Batch, ModelSpec, loss_and_grad, param_count, predict
 
 
@@ -134,6 +135,25 @@ class TestBatches:
             alone = batches([part], plan, [client_id], 2, 1)
             for g, a in zip(group, alone):
                 assert np.array_equal(g.inputs[p], a.inputs[0]) and np.array_equal(g.labels[p], a.labels[0])
+
+    def test_without_buffer_batches_are_new_arrays(self, dataset):
+        plan = BatchPlan(batch_size=8, shuffle_seed=3)
+        a, b = batches([dataset], plan, [2], 7, 1), batches([dataset], plan, [2], 7, 1)
+        for x, y in zip(a, b):
+            assert not np.shares_memory(x.inputs, y.inputs) and not np.shares_memory(x.labels, y.labels)
+            assert not np.shares_memory(x.inputs, dataset.inputs)
+
+    def test_buffer_is_overwritten_in_place(self, dataset):
+        plan = BatchPlan(batch_size=8, shuffle_seed=3)
+        out = shuffle_buffer(dataset, 1)
+        out[0].fill(np.nan)
+        out[1].fill(-1)
+        got, ref = batches([dataset], plan, [2], 7, 1, out), batches([dataset], plan, [2], 7, 1)
+        for g, r in zip(got, ref):
+            assert np.shares_memory(g.inputs, out[0]) and np.shares_memory(g.labels, out[1])
+            assert np.array_equal(g.inputs, r.inputs) and np.array_equal(g.labels, r.labels)
+        with pytest.raises(ShapeError):
+            batches([dataset], plan, [2], 7, 1, shuffle_buffer(dataset, 2))
 
     def test_group_needs_equal_sizes(self, dataset):
         with pytest.raises(ConfigError):

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flcore import rng
+from flcore.data import Dataset
 from flcore.errors import ConfigError, NumericError, ShapeError
 from flcore.models import (
     Batch,
@@ -13,10 +14,12 @@ from flcore.models import (
     grad_check,
     init_params,
     loss_and_grad,
+    loss_and_outputs,
     param_count,
     predict,
     predict_proba,
 )
+from flcore.runner import validate
 
 LINREG = ModelSpec("linear-regression", 3)
 SOFTMAX = ModelSpec("softmax", 2, 3)
@@ -189,6 +192,49 @@ class TestStacked:
         x[2, 0, 0] = x[1, 1, 1] = np.inf
         with pytest.raises(NumericError) as err:
             loss_and_grad(LINREG, params, Batch(x, np.zeros((3, 2))))
+        assert err.value.row == 1
+
+
+class TestForwardOnly:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        kind=st.sampled_from(["linear-regression", "softmax", "mlp1"]),
+        dims=st.tuples(st.integers(1, 24), st.integers(2, 11), st.integers(1, 40)),
+        clients=st.integers(1, 6),
+        n=st.integers(1, 40),
+        seed=st.integers(0, 10_000),
+    )
+    def test_loss_and_accuracy_equal_the_gradient_and_predict_paths(self, kind, dims, clients, n, seed):
+        d, k, h = dims
+        spec = ModelSpec(kind, d, 1 if kind == "linear-regression" else k, h if kind == "mlp1" else 0)
+        gen = np.random.default_rng(seed)
+        params = gen.normal(size=(clients, param_count(spec)))
+        x = gen.normal(size=(clients, n + 3, d))[:, 1 : n + 1]
+        if spec.is_classifier:
+            y = gen.integers(0, spec.output_dim, (clients, n))
+        else:
+            y = gen.normal(size=(clients, n))
+        losses, outputs = loss_and_outputs(spec, params, Batch(x, y))
+        assert np.array_equal(losses, loss_and_grad(spec, params, Batch(x, y))[0])
+        for p in range(clients):
+            batch = Batch(x[p], y[p])
+            loss, out = loss_and_outputs(spec, params[p], batch)
+            assert loss == losses[p] == loss_and_grad(spec, params[p], batch)[0]
+            assert np.array_equal(out, outputs[p])
+            preds = predict(spec, params[p], x[p])
+            val_loss, accuracy = validate(spec, params[p], Dataset(x[p], y[p]))
+            assert val_loss == loss
+            if spec.is_classifier:
+                assert accuracy == float(np.mean(preds == y[p]))
+            else:
+                assert accuracy is None and np.array_equal(out, preds)
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_non_finite_loss_names_its_row(self):
+        x = np.ones((3, 2, 3))
+        x[2, 0, 0] = x[1, 1, 1] = np.inf
+        with pytest.raises(NumericError) as err:
+            loss_and_outputs(LINREG, np.zeros((3, param_count(LINREG))), Batch(x, np.zeros((3, 2))))
         assert err.value.row == 1
 
 

@@ -445,6 +445,33 @@ class TestTcpCarrier:
         peer.close()
         carrier.close()
 
+    def test_silent_peer_does_not_starve_a_client_behind_it(self):
+        carrier = TcpServerCarrier("127.0.0.1:0", num_clients=1, handshake_timeout_s=1.0)
+        silent = socket.create_connection(carrier.address[:2])
+        channel = TcpClientChannel(f"127.0.0.1:{carrier.address[1]}", 0, timeout_s=10.0)
+        joined = []
+        joiner = threading.Thread(target=lambda: joined.append(channel.join()))
+        joiner.start()
+        try:
+            carrier.start(make_session(rounds=3))
+        finally:
+            carrier.close()
+            joiner.join(timeout=10.0)
+            silent.close()
+            channel.close()
+        assert not joiner.is_alive()
+        assert joined and joined[0].rounds == 3
+
+    def test_join_names_client_when_server_drops_its_backlog(self):
+        carrier = TcpServerCarrier("127.0.0.1:0", num_clients=1)
+        channel = TcpClientChannel(f"127.0.0.1:{carrier.address[1]}", 0, timeout_s=10.0)
+        carrier.close()  # the client is still in the listener's backlog, never accepted
+        try:
+            with pytest.raises(TransportError, match="client 0"):
+                channel.join()
+        finally:
+            channel.close()
+
     def test_send_to_client_that_never_reads_times_out(self):
         carrier = TcpServerCarrier("127.0.0.1:0", num_clients=1, handshake_timeout_s=0.5)
         channel = TcpClientChannel(f"127.0.0.1:{carrier.address[1]}", 0, timeout_s=10.0)

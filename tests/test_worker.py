@@ -228,3 +228,29 @@ class TestGroups:
         message = str(in_group.value)
         assert message == str(by_itself.value)
         assert message.startswith("client 2, round 1: ") and "local epoch 1, batch" in message
+
+
+class TestShuffleBuffer:
+    @pytest.mark.parametrize("alone", [False, True], ids=["group", "alone"])
+    @pytest.mark.parametrize("algo", ["fedavg", "iiadmm"])
+    def test_reused_buffer_equals_fresh_worker_each_round(self, algo, alone):
+        # The four clients form one group in-process; alone, each is a group of one, as over TCP.
+        cfg = group_config("mlp1", algo, 1.0, "equal")
+        kept = joined_workers(cfg)
+        gen = stream("test-shuffle-buffer", algo)
+        buffers = []
+        for round_num in (1, 2, 3):
+            w = gen.normal(size=param_count(cfg.model))
+            fresh = joined_workers(cfg)
+            for f, k in zip(fresh, kept):
+                f.lam = k.lam.copy()
+            if alone:
+                reused = {k.client_id: k.handle_global(round_num, w) for k in kept}
+                new = {f.client_id: f.handle_global(round_num, w) for f in fresh}
+            else:
+                reused, new = run_groups(kept, round_num, w), run_groups(fresh, round_num, w)
+            for cid in range(cfg.clients):
+                assert all(np.array_equal(a, b) for a, b in zip(reused[cid], new[cid])), f"round {round_num}, client {cid}"
+                assert np.array_equal(kept[cid].lam, fresh[cid].lam)
+            buffers.append(kept[0].shuffle)
+        assert all(b is buffers[0] for b in buffers)
