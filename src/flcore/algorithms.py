@@ -33,15 +33,14 @@ from .privacy import clip_gradient
 class Algorithm:
     """The facts about one algorithm kind that modules outside this one need."""
 
-    code: int  # algorithm byte in JOIN_ACK
     vectors_up: int  # vectors per LOCAL_UPDATE: z, then lambda for ICEADMM
     admm: bool  # uses rho/zeta; FedAvg uses eta/beta instead
 
 
 ALGORITHMS = {
-    "fedavg": Algorithm(code=0, vectors_up=1, admm=False),
-    "iceadmm": Algorithm(code=1, vectors_up=2, admm=True),
-    "iiadmm": Algorithm(code=2, vectors_up=1, admm=True),
+    "fedavg": Algorithm(vectors_up=1, admm=False),
+    "iceadmm": Algorithm(vectors_up=2, admm=True),
+    "iiadmm": Algorithm(vectors_up=1, admm=True),
 }
 ALGO_KINDS = tuple(ALGORITHMS)
 

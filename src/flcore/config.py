@@ -15,10 +15,13 @@ import math
 import typing
 from dataclasses import dataclass, field, fields
 
+import numpy as np
+
+from . import rng
 from .algorithms import AlgoConfig
 from .data import Dataset, Partition, generate_synthetic, load_csv, load_idx, partition, train_test_split
 from .errors import ConfigError
-from .models import ModelSpec
+from .models import ModelSpec, init_params
 from .privacy import PrivacyConfig
 
 DATA_SOURCES = ("synthetic-regression", "synthetic-blobs", "csv", "idx")
@@ -79,8 +82,13 @@ _FILE_DEFAULTS = {
     "model": {"kind": "softmax", "input_dim": 2, "output_dim": 2},
     "algo": {"kind": "fedavg"},
 }
-# Keys with an infinite default, echoed as "inf" rather than JSON's nonstandard Infinity.
-_INF_KEYS = {"rho_max", "epsilon_bar"}
+# The only keys that may be infinite, echoed as "inf" rather than JSON's nonstandard Infinity.
+_INF_KEYS = {"algo.rho_max", "privacy.epsilon_bar"}
+# Keys that belong to one host: where it writes and reads, how long it waits, how
+# often the server evaluates, and the seed that keys its clients' DP noise.
+LOCAL_KEYS = {
+    "run.out", "run.timeout_s", "run.eval_every", "run.seed", "data.path", "data.images_path", "data.labels_path"
+}
 # Section name -> dataclass; the run section holds RunConfig's own scalars.
 _SECTIONS = {"model": ModelSpec, "algo": AlgoConfig, "privacy": PrivacyConfig, "data": DataConfig, "run": RunConfig}
 
@@ -100,8 +108,9 @@ _FIELDS = {name: _section_fields(name) for name in _SECTIONS}
 def _coerce(value, hint, where: str):
     """Convert one JSON value to its field's type, or raise a ConfigError naming the key.
 
-    Numbers convert as int() / float() do, so "inf" reads as infinity; bool and
-    str fields take only JSON booleans and strings; Optional fields take null.
+    Numbers convert as int() / float() do, so "inf" reads as infinity; NaN is
+    refused everywhere and infinity everywhere but ``_INF_KEYS``.  bool and str
+    fields take only JSON booleans and strings; Optional fields take null.
     """
     args = typing.get_args(hint)
     if type(None) in args:
@@ -110,9 +119,13 @@ def _coerce(value, hint, where: str):
         hint = next(a for a in args if a is not type(None))
     if hint in (int, float):
         try:
-            return hint(value)
+            number = hint(value)
         except (TypeError, ValueError, OverflowError):
             pass
+        else:
+            if math.isfinite(number) or (number == math.inf and where in _INF_KEYS):
+                return number
+            raise ConfigError(f"{where} must be finite, got {value!r}")
     elif isinstance(value, hint):
         return value
     raise ConfigError(f"{where} must be {hint.__name__}, got {value!r}")
@@ -161,8 +174,23 @@ def config_to_dict(cfg: RunConfig) -> dict:
         out[name] = {}
         for key, attr, _ in section_fields:
             value = getattr(obj, attr)
-            out[name][key] = "inf" if key in _INF_KEYS and math.isinf(value) else value
+            out[name][key] = "inf" if f"{name}.{key}" in _INF_KEYS and math.isinf(value) else value
     return out
+
+
+def shared_settings(cfg: RunConfig) -> dict:
+    """``section.key`` -> value for the effective config minus ``LOCAL_KEYS``.
+
+    This is what the server and every client of a TCP session, each loading
+    its own config, must agree on.
+    """
+    flat = {f"{name}.{key}": value for name, section in config_to_dict(cfg).items() for key, value in section.items()}
+    return {key: value for key, value in flat.items() if key not in LOCAL_KEYS}
+
+
+def initial_model(cfg: RunConfig) -> np.ndarray:
+    """The round-0 global model; server and clients each derive it from their own config."""
+    return init_params(cfg.model, rng.stream("init", cfg.seed))
 
 
 def build_data(cfg: RunConfig) -> tuple[Dataset, Dataset, Partition]:

@@ -50,10 +50,6 @@ class Partition:
 
     assignments: list[np.ndarray]
 
-    @property
-    def num_clients(self) -> int:
-        return len(self.assignments)
-
     def sizes(self) -> list[int]:
         return [len(a) for a in self.assignments]
 

@@ -276,15 +276,6 @@ def predict(spec: ModelSpec, params: np.ndarray, inputs: np.ndarray) -> np.ndarr
     return out if spec.kind == "linear-regression" else np.argmax(out, axis=-1)
 
 
-def predict_proba(spec: ModelSpec, params: np.ndarray, inputs: np.ndarray) -> np.ndarray:
-    """Class probabilities (classifiers only)."""
-    if not spec.is_classifier:
-        raise ShapeError("probabilities are only defined for classifier models")
-    x = np.asarray(inputs, dtype=np.float64)
-    _check_shapes(spec, params, x)
-    return np.exp(_log_softmax(_outputs(spec, params[None], x[None])[0][0]))
-
-
 @dataclass(frozen=True)
 class GradCheckReport:
     max_rel_err: float

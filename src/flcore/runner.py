@@ -16,16 +16,15 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import rng
 from .algorithms import ALGORITHMS, dual_update, fedavg_global, iceadmm_global, iiadmm_global
-from .config import RunConfig, build_data
+from .config import RunConfig, build_data, initial_model
 from .data import Dataset
 from .errors import ConfigError, FlcoreError, ProtocolError
-from .models import Batch, ModelSpec, init_params, loss_and_outputs, param_count
+from .models import Batch, ModelSpec, loss_and_outputs, param_count
 # Unused here, but flbench/tracing.py patches these names in this module (ROADMAP item 3).
 from .models import loss_and_grad, predict  # noqa: F401
 from .privacy import NoiseSpec, dp_budget_report, sensitivity
-from .transport import HEADER_SIZE, InProcessCarrier, RoundMetrics, SessionConfig, decode_vectors
+from .transport import HEADER_SIZE, InProcessCarrier, RoundMetrics, decode_vectors
 from .worker import ClientWorker
 
 log = logging.getLogger("flcore.runner")
@@ -91,15 +90,13 @@ def train(
     either way.  ``on_round_end(t, w, duals, carrier)`` is a test hook.
     """
     config.validate()
-    spec, algo, privacy = config.model, config.algo, config.privacy
-    m = param_count(spec)
+    m = param_count(config.model)
     train_data, test_data, part = build_data(config)
     views = [train_data.subset(idx) for idx in part.assignments]
     weights = [view.size / train_data.size for view in views]
 
-    w = init_params(spec, rng.stream("init", config.seed))
+    w = initial_model(config)
     duals = [np.zeros(m) for _ in range(config.clients)]
-    session = SessionConfig(model=spec, algo_kind=algo.kind, initial_w=w, rounds=algo.rounds)
 
     if carrier is None:
         carrier = InProcessCarrier([ClientWorker(config, cid, views[cid]) for cid in range(config.clients)])
@@ -107,8 +104,8 @@ def train(
     record = RunRecord(metrics=[], final_w=w, dp_report=_dp_report(config))
     writer = open(metrics_path, "w") if metrics_path else None
     try:
-        carrier.start(session)
-        for t in range(1, algo.rounds + 1):
+        carrier.start(config)
+        for t in range(1, config.algo.rounds + 1):
             try:
                 w, duals, metrics = _run_round(config, carrier, t, w, duals, weights, views, test_data)
             except FlcoreError as exc:

@@ -13,8 +13,9 @@ Wire format (all integers little-endian):
 
 Vectors inside payloads are a u64 count followed by that many f64 values.
 GLOBAL_MODEL carries one vector (w); LOCAL_UPDATE carries one vector (z) for
-FedAvg/IIADMM or two (z then lambda) for ICEADMM; JOIN_ACK carries the session
-header (algorithm, model shape, round count) plus the initial model.
+FedAvg/IIADMM or two (z then lambda) for ICEADMM; JOIN_ACK carries the
+server's shared settings (``config.shared_settings``) as canonical JSON, which
+each client compares with its own before it answers a round.
 
 The in-process carrier pushes the very same encoded bytes through memory
 that the TCP carrier pushes through sockets, so frame sizes and decoded
@@ -30,6 +31,7 @@ timeout, and each round's reads by one round deadline (``run.timeout_s``).
 
 from __future__ import annotations
 
+import json
 import logging
 import selectors
 import socket
@@ -40,8 +42,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algorithms import ALGORITHMS
+from .config import RunConfig, shared_settings
 from .errors import ProtocolError, TransportError
-from .models import ModelSpec
+from .models import param_count
 
 log = logging.getLogger("flcore.transport")
 
@@ -55,10 +58,6 @@ KIND_NAMES = ("JOIN", "JOIN_ACK", "GLOBAL_MODEL", "LOCAL_UPDATE", "DONE", "ERROR
 
 MAX_PAYLOAD = 1 << 32
 _CONNECT_RETRY_S = 0.05
-
-MODEL_CODES = {"linear-regression": 0, "softmax": 1, "mlp1": 2}
-_ALGO_FROM_CODE = {algo.code: kind for kind, algo in ALGORITHMS.items()}
-_MODEL_FROM_CODE = {v: k for k, v in MODEL_CODES.items()}
 
 
 @dataclass(frozen=True)
@@ -78,16 +77,6 @@ class RoundMetrics:
     bytes_up: int = 0
     bytes_down: int = 0
     payload_bytes_up: int = 0
-
-
-@dataclass(frozen=True)
-class SessionConfig:
-    """What JOIN_ACK communicates: the server-authoritative run header."""
-
-    model: ModelSpec
-    algo_kind: str
-    initial_w: np.ndarray
-    rounds: int
 
 
 # --- codec ----------------------------------------------------------------
@@ -159,34 +148,20 @@ def payload_size(algo_kind: str, m: int) -> int:
     return ALGORITHMS[algo_kind].vectors_up * (8 + 8 * m)
 
 
-_ACK_HEAD = struct.Struct("<BBIIII")
+def encode_join_ack(config: RunConfig) -> bytes:
+    """The JOIN_ACK payload: the config's shared settings as canonical JSON."""
+    return json.dumps(shared_settings(config), sort_keys=True, separators=(",", ":")).encode()
 
 
-def encode_join_ack(session: SessionConfig) -> bytes:
-    head = _ACK_HEAD.pack(
-        ALGORITHMS[session.algo_kind].code,
-        MODEL_CODES[session.model.kind],
-        session.model.input_dim,
-        session.model.output_dim,
-        session.model.hidden_dim,
-        session.rounds,
-    )
-    return head + encode_vector(session.initial_w)
-
-
-def decode_join_ack(payload: bytes) -> SessionConfig:
-    if len(payload) < _ACK_HEAD.size:
-        raise ProtocolError(f"truncated JOIN_ACK at byte {len(payload)}")
-    algo_code, model_code, input_dim, output_dim, hidden_dim, rounds = _ACK_HEAD.unpack_from(payload)
-    if algo_code not in _ALGO_FROM_CODE:
-        raise ProtocolError(f"unknown algorithm code {algo_code} at byte 0")
-    if model_code not in _MODEL_FROM_CODE:
-        raise ProtocolError(f"unknown model code {model_code} at byte 1")
-    vectors = decode_vectors(payload[_ACK_HEAD.size :])
-    if len(vectors) != 1:
-        raise ProtocolError("JOIN_ACK must carry exactly the initial model vector")
-    spec = ModelSpec(_MODEL_FROM_CODE[model_code], input_dim, output_dim, hidden_dim)
-    return SessionConfig(model=spec, algo_kind=_ALGO_FROM_CODE[algo_code], initial_w=vectors[0], rounds=rounds)
+def decode_join_ack(payload: bytes) -> dict:
+    """The shared settings a JOIN_ACK carries; a payload that is not a JSON object is a ProtocolError."""
+    try:
+        settings = json.loads(payload.decode("utf-8"))
+    except (ValueError, RecursionError) as exc:
+        raise ProtocolError(f"JOIN_ACK payload is not UTF-8 JSON: {exc}") from None
+    if not isinstance(settings, dict):
+        raise ProtocolError(f"JOIN_ACK payload must be a JSON object, got {type(settings).__name__}")
+    return settings
 
 
 # --- the gather check shared by both carriers --------------------------------
@@ -237,9 +212,9 @@ class InProcessCarrier:
         self._pending: dict[int, bytes] = {}
         self._update_size = 0
 
-    def start(self, session: SessionConfig) -> None:
-        ack_payload = encode_join_ack(session)
-        self._update_size = payload_size(session.algo_kind, session.initial_w.shape[0])
+    def start(self, config: RunConfig) -> None:
+        ack_payload = encode_join_ack(config)
+        self._update_size = payload_size(config.algo.kind, param_count(config.model))
         for worker in self.workers:
             ack = decode_envelope(encode_envelope(Envelope(JOIN_ACK, 0, worker.client_id, ack_payload)))
             worker.handle_join_ack(decode_join_ack(ack.payload))
@@ -279,6 +254,14 @@ class InProcessCarrier:
 # --- TCP carrier ------------------------------------------------------------
 
 
+def _split_address(addr: str) -> tuple[str, int]:
+    """(host, port) of a HOST:PORT address; anything else is a TransportError naming it."""
+    host, _, port = addr.rpartition(":")
+    if not (host and port.isascii() and port.isdigit() and int(port) <= 65535):
+        raise TransportError(f"address {addr!r} must look like HOST:PORT with a port in 0..65535")
+    return host, int(port)
+
+
 def _time_left(deadline: float) -> float:
     """Seconds until ``deadline``, at least 1 us: past it, a socket wait times out at once."""
     return max(deadline - time.monotonic(), 1e-6)
@@ -312,18 +295,16 @@ class TcpServerCarrier:
     """
 
     def __init__(self, bind_addr: str, num_clients: int, handshake_timeout_s: float = 60.0):
-        host, _, port = bind_addr.rpartition(":")
-        if not host:
-            raise TransportError(f"bind address {bind_addr!r} must look like HOST:PORT")
+        host, port = _split_address(bind_addr)
         self.num_clients = num_clients
         self.handshake_timeout_s = handshake_timeout_s
         self._conns: dict[int, socket.socket] = {}
         self._update_size = 0
-        self._listener = socket.create_server((host, int(port)), reuse_port=False)
+        self._listener = socket.create_server((host, port), reuse_port=False)
         self.address = self._listener.getsockname()
 
-    def start(self, session: SessionConfig) -> None:
-        self._update_size = payload_size(session.algo_kind, session.initial_w.shape[0])
+    def start(self, config: RunConfig) -> None:
+        self._update_size = payload_size(config.algo.kind, param_count(config.model))
         deadline = time.monotonic() + self.handshake_timeout_s
         # One selector serves every peer at once: it accepts whoever is
         # pending and reads JOIN bytes from whichever socket has them, so a
@@ -353,7 +334,7 @@ class TcpServerCarrier:
                 for key in selector.get_map().values():
                     if key.fileobj is not self._listener:
                         key.fileobj.close()
-        ack_payload = encode_join_ack(session)
+        ack_payload = encode_join_ack(config)
         for cid in sorted(self._conns):
             self._send(cid, encode_envelope(Envelope(JOIN_ACK, 0, cid, ack_payload)))
 
@@ -447,14 +428,12 @@ class TcpClientChannel:
     """
 
     def __init__(self, addr: str, client_id: int, timeout_s: float = 60.0):
-        host, _, port = addr.rpartition(":")
-        if not host:
-            raise TransportError(f"address {addr!r} must look like HOST:PORT")
+        host, port = _split_address(addr)
         self.client_id = client_id
         deadline = time.monotonic() + timeout_s
         while True:
             try:
-                self._sock = socket.create_connection((host, int(port)), timeout=timeout_s)
+                self._sock = socket.create_connection((host, port), timeout=timeout_s)
                 break
             except ConnectionRefusedError as exc:
                 if time.monotonic() >= deadline:
@@ -462,7 +441,8 @@ class TcpClientChannel:
                 time.sleep(_CONNECT_RETRY_S)
         self._sock.settimeout(timeout_s)
 
-    def join(self) -> SessionConfig:
+    def join(self) -> dict:
+        """JOIN, then the server's shared settings from its JOIN_ACK."""
         self._send(Envelope(JOIN, 0, self.client_id))
         env = self.recv()
         if env.kind == ERROR:

@@ -17,7 +17,7 @@ import logging
 import numpy as np
 
 from . import algorithms, transport
-from .config import RunConfig, build_data
+from .config import RunConfig, build_data, initial_model
 from .data import BatchPlan, Dataset, batches, shuffle_buffer
 from .errors import ConfigError, FlcoreError, NumericError, ProtocolError, TransportError
 from .models import Batch, loss_and_grad
@@ -36,7 +36,6 @@ class ClientWorker:
         self.client_id = client_id
         self.local = local_data
         self.plan = BatchPlan(batch_size=config.algo.batch_size, shuffle_seed=config.seed)
-        self.rounds = config.algo.rounds
         self.z: np.ndarray | None = None
         self.lam: np.ndarray | None = None
         # The (inputs, labels) stack that ``handle_group`` shuffles into when
@@ -45,20 +44,23 @@ class ClientWorker:
 
     # -- handshake -----------------------------------------------------------
 
-    def handle_join_ack(self, session: transport.SessionConfig) -> None:
-        """Adopt the server-authoritative session header, refusing any mismatch."""
-        if session.model != self.config.model:
-            raise ConfigError(
-                f"server model {session.model} does not match local config {self.config.model}"
-            )
-        if session.algo_kind != self.config.algo.kind:
-            raise ConfigError(
-                f"server runs {session.algo_kind!r} but local config says {self.config.algo.kind!r}"
-            )
-        self.rounds = session.rounds
-        # Both ADMM variants start z and lambda from the shared initial model.
-        self.z = session.initial_w.copy()
-        self.lam = np.zeros_like(session.initial_w)
+    def handle_join_ack(self, settings: dict) -> None:
+        """Refuse server settings that differ from ours, naming every differing key; then take the initial model.
+
+        Our settings pass through the same encode/decode as the server's, so
+        only a real difference shows.
+        """
+        ours = transport.decode_join_ack(transport.encode_join_ack(self.config))
+        differ = [
+            f"{key} (server {settings.get(key, 'absent')!r}, client {ours.get(key, 'absent')!r})"
+            for key in sorted(settings.keys() | ours.keys())
+            if key not in settings or key not in ours or settings[key] != ours[key]
+        ]
+        if differ:
+            raise ConfigError(f"client {self.client_id} settings differ from the server's: {'; '.join(differ)}")
+        # Both ADMM variants start z and lambda from the initial model.
+        self.z = initial_model(self.config)
+        self.lam = np.zeros_like(self.z)
 
     # -- per-round update ------------------------------------------------------
 
@@ -157,7 +159,7 @@ class ClientWorker:
             raise NumericError(f"client {client_ids[exc.row]}, round {round_num}: {exc}") from exc
 
     def handle_done(self, env: transport.Envelope) -> None:
-        log.debug("client %d done after %d rounds", self.client_id, self.rounds)
+        log.debug("client %d done after %d rounds", self.client_id, self.config.algo.rounds)
 
 
 def _stack(arrays: list[np.ndarray]) -> np.ndarray:
@@ -186,9 +188,13 @@ def run_client(addr: str, client_id: int, config: RunConfig, timeout_s: float | 
     """TCP client main loop: join, answer every round, stop on DONE."""
     channel = transport.TcpClientChannel(addr, client_id, timeout_s or config.timeout_s)
     try:
-        session = channel.join()
+        settings = channel.join()
         worker = build_worker(config, client_id)
-        worker.handle_join_ack(session)
+        try:
+            worker.handle_join_ack(settings)
+        except ConfigError as exc:
+            channel.send_error(0, str(exc))
+            raise
         while True:
             env = channel.recv()
             if env.kind == transport.DONE:

@@ -83,6 +83,27 @@ class TestSimulate:
 
 
 class TestServeClient:
+    @pytest.mark.parametrize(
+        "command,flag,addr",
+        [
+            ("serve", "--bind", "127.0.0.1:abc"),
+            ("serve", "--bind", "127.0.0.1:70000"),
+            ("client", "--connect", "127.0.0.1:abc"),
+            ("client", "--connect", "127.0.0.1:70000"),
+        ],
+    )
+    def test_bad_port_is_named(self, config_path, capsys, command, flag, addr):
+        extra = ["--client-id", "0"] if command == "client" else []
+        assert main([command, flag, addr, "--config", config_path, *extra]) == 1
+        assert f"address {addr!r} must look like HOST:PORT" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("timeout", ["nan", "inf"])
+    def test_non_finite_timeout_exits_2(self, tmp_path, capsys, timeout):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"run": {"timeout_s": timeout}}))
+        assert main(["serve", "--bind", "127.0.0.1:0", "--config", str(bad)]) == 2
+        assert "run.timeout_s must be finite" in capsys.readouterr().err
+
     def test_tcp_run_matches_simulate(self, config_path, tmp_path):
         sim_out = tmp_path / "sim.jsonl"
         assert main(["simulate", "--config", config_path, "--out", str(sim_out)]) == 0

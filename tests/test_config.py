@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from flcore.config import build_data, config_to_dict, load_config, parse_config
+from flcore.config import LOCAL_KEYS, build_data, config_to_dict, load_config, parse_config, shared_settings
 from flcore.errors import ConfigError
 
 
@@ -54,6 +54,15 @@ def every_key_set():
         },
         "run": {"clients": 3, "seed": 5, "eval_every": 2, "timeout_s": 5.0, "out": "m.jsonl"},
     }
+
+
+# Every float key, found from the echo of the defaults: (section, key).
+FLOAT_KEYS = [
+    (name, key)
+    for name, section in config_to_dict(parse_config({})).items()
+    for key, value in section.items()
+    if isinstance(value, float) or value == "inf"
+]
 
 
 class TestParsing:
@@ -127,6 +136,27 @@ class TestParsing:
         p.write_text("{not json")
         with pytest.raises(ConfigError, match="JSON"):
             load_config(str(p))
+
+    @pytest.mark.parametrize("value", ["nan", "NaN", float("nan")])
+    @pytest.mark.parametrize("name,key", FLOAT_KEYS)
+    def test_nan_names_its_key(self, name, key, value):
+        with pytest.raises(ConfigError, match=rf"{name}\.{key} must be finite"):
+            parse_config({name: {key: value}})
+
+    @pytest.mark.parametrize("value", ["inf", "-inf", float("inf")])
+    @pytest.mark.parametrize("name,key", FLOAT_KEYS)
+    def test_infinity_only_where_it_means_unbounded(self, name, key, value):
+        if key in ("rho_max", "epsilon_bar") and value != "-inf":
+            assert math.isinf(getattr(getattr(parse_config({name: {key: value}}), name), key))
+        else:
+            with pytest.raises(ConfigError, match=rf"{name}\.{key}"):
+                parse_config({name: {key: value}})
+
+    def test_shared_settings_are_the_echo_minus_the_local_keys(self):
+        cfg = parse_config(every_key_set())
+        echo = {f"{name}.{key}": value for name, section in config_to_dict(cfg).items() for key, value in section.items()}
+        assert LOCAL_KEYS <= set(echo)
+        assert shared_settings(cfg) == {key: value for key, value in echo.items() if key not in LOCAL_KEYS}
 
     def test_data_seed_falls_back_to_run_seed(self):
         cfg = parse_config(minimal())

@@ -17,7 +17,6 @@ from flcore.models import (
     loss_and_outputs,
     param_count,
     predict,
-    predict_proba,
 )
 from flcore.runner import validate
 
@@ -69,8 +68,6 @@ class TestLossAndGrad:
         batch = Batch(np.array([[0.3, -1.2, 4.0]]), np.array([1]))
         loss, _ = loss_and_grad(spec, np.zeros(param_count(spec)), batch)
         assert loss == pytest.approx(math.log(2.0), abs=1e-12)
-        proba = predict_proba(spec, np.zeros(param_count(spec)), batch.inputs)
-        assert np.allclose(proba, 0.5, atol=1e-15)
 
     @pytest.mark.parametrize("spec", [LINREG, SOFTMAX, MLP], ids=lambda s: s.kind)
     def test_matches_finite_differences(self, spec):

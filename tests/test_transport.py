@@ -1,3 +1,5 @@
+import json
+import re
 import socket
 import threading
 import time
@@ -8,9 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flcore import transport
-from flcore.config import parse_config
+from flcore.config import parse_config, shared_settings
 from flcore.errors import ProtocolError, TransportError
-from flcore.models import ModelSpec
 from flcore.transport import (
     DONE,
     ERROR,
@@ -20,7 +21,6 @@ from flcore.transport import (
     JOIN_ACK,
     LOCAL_UPDATE,
     Envelope,
-    SessionConfig,
     TcpClientChannel,
     TcpServerCarrier,
     decode_envelope,
@@ -74,12 +74,12 @@ class TestRoundtrip:
         assert np.array_equal(out[0], arrays[0]) and np.array_equal(out[1], arrays[1])
 
     def test_join_ack_roundtrip(self):
-        session = SessionConfig(ModelSpec("mlp1", 4, 3, 5), "iiadmm", np.arange(43, dtype=float), 50)
-        back = decode_join_ack(encode_join_ack(session))
-        assert back.model == session.model
-        assert back.algo_kind == "iiadmm"
-        assert back.rounds == 50
-        assert np.array_equal(back.initial_w, session.initial_w)
+        cfg = make_config(m=43, rounds=50)
+        payload = encode_join_ack(cfg)
+        back = decode_join_ack(payload)
+        assert back == shared_settings(cfg)
+        assert back["algo.rounds"] == 50 and back["model.input_dim"] == 42
+        assert payload == json.dumps(back, sort_keys=True, separators=(",", ":")).encode()
 
 
 class TestMalformed:
@@ -120,6 +120,29 @@ class TestMalformed:
     def test_random_bytes_yield_protocol_error_or_envelope(self, data):
         try:
             decode_envelope(data)
+        except ProtocolError:
+            pass  # the only acceptable exception
+
+    @pytest.mark.parametrize(
+        "payload",
+        [b"", b"[1, 2]", b"3", b"null", b'"algo"', b"\xff\xfe{}", b"{\"a\": \xc3}", b"[" * 100_000, b"1" * 5000],
+        ids=["empty", "array", "number", "null", "string", "bom", "bad-utf8", "deep", "huge-int"],
+    )
+    def test_malformed_join_ack_is_protocol_error(self, payload):
+        with pytest.raises(ProtocolError, match="JOIN_ACK"):
+            decode_join_ack(payload)
+
+    def test_join_ack_truncations_never_panic(self):
+        payload = encode_join_ack(make_config())
+        for cut in range(len(payload)):
+            with pytest.raises(ProtocolError):
+                decode_join_ack(payload[:cut])
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.one_of(st.binary(max_size=64), st.text(max_size=64).map(str.encode)))
+    def test_random_join_ack_yields_protocol_error_or_object(self, data):
+        try:
+            assert isinstance(decode_join_ack(data), dict)
         except ProtocolError:
             pass  # the only acceptable exception
 
@@ -217,14 +240,21 @@ class EchoWorker:
         self.done = True
 
 
-def make_session(m=2, rounds=3, kind="iiadmm"):
-    return SessionConfig(ModelSpec("linear-regression", m - 1), kind, np.zeros(m), rounds)
+def make_config(m=2, rounds=3, kind="iiadmm"):
+    """A run config whose model has m parameters."""
+    return parse_config(
+        {
+            "model": {"kind": "linear-regression", "input_dim": m - 1, "output_dim": 1},
+            "algo": {"kind": kind, "rounds": rounds},
+            "data": {"source": "synthetic-regression", "input_dim": m - 1},
+        }
+    )
 
 
 class TestInProcessCarrier:
     def test_byte_accounting(self):
         carrier = transport.InProcessCarrier([EchoWorker(i) for i in range(3)])
-        carrier.start(make_session(m=2))
+        carrier.start(make_config(m=2))
         assert carrier.broadcast_model(1, np.array([1.0, 2.0])) == 3 * (22 + 8 + 16)
         envs = carrier.gather_updates(1)
         assert [e.client_id for e in envs] == [0, 1, 2]
@@ -247,7 +277,7 @@ class TestInProcessCarrier:
 
     def test_gather_is_sorted_and_complete(self):
         carrier = transport.InProcessCarrier([EchoWorker(i) for i in reversed(range(5))])
-        carrier.start(make_session())
+        carrier.start(make_config())
         carrier.broadcast_model(1, np.zeros(2))
         envs = carrier.gather_updates(1)
         assert [e.client_id for e in envs] == [0, 1, 2, 3, 4]
@@ -258,7 +288,7 @@ class TestInProcessCarrier:
             worker.group_key = "odd"
         carrier = transport.InProcessCarrier(workers)
         assert [[w.client_id for w in group] for group in carrier.groups] == [[0, 2], [1, 3]]
-        carrier.start(make_session())
+        carrier.start(make_config())
         w = np.array([0.5, -2.0])
         carrier.broadcast_model(1, w)
         envs = carrier.gather_updates(1)
@@ -308,7 +338,7 @@ def scripted_session(script, rounds=2):
 
     thread = threading.Thread(target=client)
     thread.start()
-    carrier.start(make_session(rounds=rounds))
+    carrier.start(make_config(rounds=rounds))
     return carrier, thread
 
 
@@ -323,7 +353,7 @@ class TestTcpCarrier:
         ]
         for t in threads:
             t.start()
-        carrier.start(make_session(m=2, rounds=2))
+        carrier.start(make_config(m=2, rounds=2))
         for round_num in (1, 2):
             assert carrier.broadcast_model(round_num, np.array([3.5, -1.0])) == 2 * (22 + 24)
             envs = carrier.gather_updates(round_num, timeout_s=10.0)
@@ -337,7 +367,7 @@ class TestTcpCarrier:
     def test_duplicate_client_id_rejected(self):
         carrier = TcpServerCarrier("127.0.0.1:0", num_clients=2, handshake_timeout_s=10.0)
         port = carrier.address[1]
-        server = threading.Thread(target=lambda: (carrier.start(make_session(rounds=0)), carrier.finish()))
+        server = threading.Thread(target=lambda: (carrier.start(make_config(rounds=0)), carrier.finish()))
         server.start()
 
         first = TcpClientChannel(f"127.0.0.1:{port}", 0, timeout_s=10.0)
@@ -353,14 +383,14 @@ class TestTcpCarrier:
         second.join()
         server.join(timeout=10.0)
         waiter.join(timeout=10.0)
-        assert ack_result and ack_result[0].rounds == 0
+        assert ack_result and ack_result[0]["algo.rounds"] == 0
         first.close()
         second.close()
 
     def test_out_of_range_id_rejected(self):
         carrier = TcpServerCarrier("127.0.0.1:0", num_clients=1, handshake_timeout_s=10.0)
         port = carrier.address[1]
-        server = threading.Thread(target=lambda: (carrier.start(make_session(rounds=0)), carrier.finish()))
+        server = threading.Thread(target=lambda: (carrier.start(make_config(rounds=0)), carrier.finish()))
         server.start()
 
         with pytest.raises(TransportError, match="out of range"):
@@ -370,6 +400,13 @@ class TestTcpCarrier:
         good.join()
         server.join(timeout=10.0)
         good.close()
+
+    @pytest.mark.parametrize("addr", ["127.0.0.1", ":80", "127.0.0.1:", "127.0.0.1:abc", "127.0.0.1:70000", "127.0.0.1:-1"])
+    def test_bad_address_is_named(self, addr):
+        with pytest.raises(TransportError, match=re.escape(repr(addr))):
+            TcpServerCarrier(addr, num_clients=1)
+        with pytest.raises(TransportError, match=re.escape(repr(addr))):
+            TcpClientChannel(addr, 0, timeout_s=0.1)
 
     def test_refused_connection_gives_up_at_timeout(self):
         carrier = TcpServerCarrier("127.0.0.1:0", num_clients=1)
@@ -392,7 +429,7 @@ class TestTcpCarrier:
 
         t = threading.Thread(target=vanishing_client)
         t.start()
-        carrier.start(make_session(rounds=1))
+        carrier.start(make_config(rounds=1))
         carrier.broadcast_model(1, np.zeros(2))
         with pytest.raises(TransportError, match="client 0"):
             carrier.gather_updates(1, timeout_s=5.0)
@@ -413,7 +450,7 @@ class TestTcpCarrier:
 
         t = threading.Thread(target=silent_client, daemon=True)
         t.start()
-        carrier.start(make_session(rounds=1))
+        carrier.start(make_config(rounds=1))
         carrier.broadcast_model(1, np.zeros(2))
         with pytest.raises(TransportError, match=r"missing clients \[0\]"):
             carrier.gather_updates(1, timeout_s=0.3)
@@ -438,7 +475,7 @@ class TestTcpCarrier:
         sender.start()
         begin = time.monotonic()
         with pytest.raises(TransportError, match=r"handshake timed out after 1 s waiting for clients \[0\]"):
-            carrier.start(make_session())
+            carrier.start(make_config())
         assert 1.0 <= time.monotonic() - begin < 1.0 + 0.5
         sender.join(timeout=5.0)
         assert not sender.is_alive()
@@ -453,14 +490,14 @@ class TestTcpCarrier:
         joiner = threading.Thread(target=lambda: joined.append(channel.join()))
         joiner.start()
         try:
-            carrier.start(make_session(rounds=3))
+            carrier.start(make_config(rounds=3))
         finally:
             carrier.close()
             joiner.join(timeout=10.0)
             silent.close()
             channel.close()
         assert not joiner.is_alive()
-        assert joined and joined[0].rounds == 3
+        assert joined and joined[0]["algo.rounds"] == 3
 
     def test_join_names_client_when_server_drops_its_backlog(self):
         carrier = TcpServerCarrier("127.0.0.1:0", num_clients=1)
@@ -477,7 +514,7 @@ class TestTcpCarrier:
         channel = TcpClientChannel(f"127.0.0.1:{carrier.address[1]}", 0, timeout_s=10.0)
         joiner = threading.Thread(target=channel.join)  # joins, then never reads again
         joiner.start()
-        carrier.start(make_session())
+        carrier.start(make_config())
         joiner.join(timeout=10.0)
         begin = time.monotonic()
         with pytest.raises(TransportError, match="could not send GLOBAL_MODEL to client 0 within 0.5 s"):
@@ -504,7 +541,7 @@ class TestTcpCarrier:
 
         t = threading.Thread(target=client)
         t.start()
-        carrier.start(make_session())
+        carrier.start(make_config())
         time.sleep(0.2)  # let the client block in recv
         closed = time.monotonic()
         carrier.close()
@@ -517,7 +554,7 @@ class TestTcpCarrier:
         carrier = TcpServerCarrier("127.0.0.1:0", num_clients=1, handshake_timeout_s=10.0)
         with socket.create_connection(carrier.address[:2], timeout=10.0) as raw:
             raw.sendall(encode_envelope(Envelope(JOIN, 0, 0)))
-            carrier.start(make_session())
+            carrier.start(make_config())
             assert transport.read_frame(raw).kind == JOIN_ACK
             carrier.broadcast_model(1, np.zeros(2))
             assert transport.read_frame(raw).kind == GLOBAL_MODEL
@@ -534,7 +571,7 @@ class TestTcpCarrier:
         w = np.array([0.125, -3.75])
         inproc_worker = EchoWorker(0)
         inproc = transport.InProcessCarrier([inproc_worker])
-        inproc.start(make_session(rounds=1))
+        inproc.start(make_config(rounds=1))
         inproc.broadcast_model(1, w)
         inproc.gather_updates(1)
 
@@ -553,7 +590,7 @@ class TestTcpCarrier:
 
         t = threading.Thread(target=client)
         t.start()
-        carrier.start(make_session(rounds=1))
+        carrier.start(make_config(rounds=1))
         carrier.broadcast_model(1, w)
         carrier.gather_updates(1, timeout_s=10.0)
         carrier.finish()

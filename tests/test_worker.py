@@ -1,23 +1,24 @@
-import dataclasses
+import threading
 
 import numpy as np
 import pytest
 
-from flcore.config import parse_config
-from flcore.errors import ConfigError, NumericError
-from flcore.models import ModelSpec, init_params, param_count
+from flcore.config import config_to_dict, initial_model, parse_config
+from flcore.errors import ConfigError, FlcoreError, NumericError, TransportError
+from flcore.models import param_count
 from flcore.privacy import laplace_sample, noise_stream, sensitivity
 from flcore.rng import stream
-from flcore.transport import InProcessCarrier, SessionConfig
-from flcore.worker import ClientWorker, build_worker, build_workers
+from flcore.runner import metrics_line, train
+from flcore.transport import InProcessCarrier, TcpServerCarrier, decode_join_ack, encode_join_ack
+from flcore.worker import ClientWorker, build_worker, build_workers, run_client
 
 
-def config(kind="iiadmm", privacy=None, **algo_overrides):
+def config(kind="iiadmm", privacy=None, output_dim=3, **algo_overrides):
     algo = {"kind": kind, "rho": 2.0, "zeta": 0.5, "eta": 0.2, "local_steps": 2, "batch_size": 16, "rounds": 4}
     algo.update(algo_overrides)
     return parse_config(
         {
-            "model": {"kind": "softmax", "input_dim": 2, "output_dim": 3},
+            "model": {"kind": "softmax", "input_dim": 2, "output_dim": output_dim},
             "algo": algo,
             "privacy": privacy or {"enabled": False},
             "data": {"source": "synthetic-blobs", "n": 80, "input_dim": 2, "classes": 3, "noise": 0.3},
@@ -27,29 +28,112 @@ def config(kind="iiadmm", privacy=None, **algo_overrides):
 
 
 def session_for(cfg):
-    return SessionConfig(cfg.model, cfg.algo.kind, np.zeros(param_count(cfg.model)), cfg.algo.rounds)
+    """The shared settings a server running ``cfg`` sends in its JOIN_ACK."""
+    return decode_join_ack(encode_join_ack(cfg))
 
 
 class TestHandshake:
     def test_model_mismatch_aborts(self):
-        cfg = config()
-        worker = build_worker(cfg, 0)
-        wrong = SessionConfig(ModelSpec("softmax", 2, 4), "iiadmm", np.zeros(12), 4)
-        with pytest.raises(ConfigError, match="model"):
-            worker.handle_join_ack(wrong)
+        worker = build_worker(config(), 0)
+        with pytest.raises(ConfigError, match=r"model\.output_dim \(server 4, client 3\)"):
+            worker.handle_join_ack(session_for(config(output_dim=4)))
 
     def test_algo_mismatch_aborts(self):
-        cfg = config()
-        worker = build_worker(cfg, 0)
-        wrong = dataclasses.replace(session_for(cfg), algo_kind="fedavg")
-        with pytest.raises(ConfigError, match="fedavg"):
-            worker.handle_join_ack(wrong)
+        worker = build_worker(config(), 0)
+        with pytest.raises(ConfigError, match=r"algo\.kind \(server 'fedavg', client 'iiadmm'\)"):
+            worker.handle_join_ack(session_for(config("fedavg")))
+
+    def test_every_difference_is_named_once(self):
+        worker = build_worker(config(), 0)
+        server = session_for(config("fedavg", rho=3.0))
+        del server["data.noise"]
+        server["extra"] = 1
+        with pytest.raises(ConfigError) as exc:
+            worker.handle_join_ack(server)
+        named = str(exc.value).split(": ", 1)[1].split("; ")
+        assert named == [
+            "algo.kind (server 'fedavg', client 'iiadmm')",
+            "algo.rho (server 3.0, client 2.0)",
+            "data.noise (server 'absent', client 0.3)",
+            "extra (server 1, client 'absent')",
+        ]
+        assert worker.z is None
+
+    def test_ack_starts_from_the_initial_model(self):
+        cfg = config("iceadmm")
+        worker = build_worker(cfg, 1)
+        worker.handle_join_ack(session_for(cfg))
+        assert np.array_equal(worker.z, initial_model(cfg))
+        assert np.array_equal(worker.lam, np.zeros(param_count(cfg.model)))
 
     def test_update_before_ack_rejected(self):
         cfg = config()
         worker = build_worker(cfg, 0)
         with pytest.raises(Exception, match="JOIN_ACK"):
             worker.handle_global(1, np.zeros(param_count(cfg.model)))
+
+
+def tcp_run(server_cfg, client_cfgs):
+    """Serve ``server_cfg`` over localhost to one client thread per config; (metrics lines, errors by side)."""
+    carrier = TcpServerCarrier("127.0.0.1:0", server_cfg.clients, handshake_timeout_s=10.0)
+    errors = {}
+
+    def client(cid, cfg):
+        try:
+            run_client(f"127.0.0.1:{carrier.address[1]}", cid, cfg, timeout_s=10.0)
+        except FlcoreError as exc:
+            errors[cid] = exc
+
+    threads = [threading.Thread(target=client, args=item) for item in enumerate(client_cfgs)]
+    for t in threads:
+        t.start()
+    lines = []
+    try:
+        lines = [metrics_line(m) for m in train(server_cfg, carrier=carrier).metrics]
+    except FlcoreError as exc:
+        errors["server"] = exc
+    for t in threads:
+        t.join(timeout=10.0)
+        assert not t.is_alive()
+    return lines, errors
+
+
+def with_changes(cfg, changes):
+    obj = config_to_dict(cfg)
+    for (name, key), value in changes.items():
+        obj[name][key] = value
+    return parse_config(obj)
+
+
+class TestTcpJoin:
+    @pytest.mark.parametrize(
+        "key,value,named",
+        [
+            (("algo", "rho"), 3.0, "algo.rho (server 2.0, client 3.0)"),
+            (("privacy", "epsilon_bar"), 5.0, "privacy.epsilon_bar (server 10.0, client 5.0)"),
+            (("data", "n"), 90, "data.n (server 80, client 90)"),
+        ],
+    )
+    def test_mismatched_client_fails_at_join(self, key, value, named):
+        cfg = config(privacy={"enabled": True, "epsilon_bar": 10, "clip": 1.0})
+        lines, errors = tcp_run(cfg, [with_changes(cfg, {key: value}), cfg])
+        assert lines == []
+        assert isinstance(errors[0], ConfigError) and named in str(errors[0])
+        assert isinstance(errors["server"], TransportError) and "client 0" in str(errors["server"])
+
+    def test_local_keys_may_differ(self):
+        cfg = config(privacy={"enabled": True, "epsilon_bar": 10, "clip": 1.0})
+        local = {
+            ("run", "out"): "elsewhere.jsonl",
+            ("run", "timeout_s"): 9.0,
+            ("run", "eval_every"): 3,
+            ("data", "path"): "x.csv",
+            ("data", "images_path"): "x.idx",
+            ("data", "labels_path"): "y.idx",
+        }
+        lines, errors = tcp_run(cfg, [with_changes(cfg, local), cfg])
+        assert errors == {}
+        assert lines == [metrics_line(m) for m in train(cfg).metrics]
 
 
 class TestPayloadShapes:
@@ -167,7 +251,7 @@ def group_config(model, algo, clip, data):
 
 def joined_workers(cfg):
     workers = build_workers(cfg)
-    session = SessionConfig(cfg.model, cfg.algo.kind, init_params(cfg.model, stream("init", cfg.seed)), cfg.algo.rounds)
+    session = session_for(cfg)
     for worker in workers:
         worker.handle_join_ack(session)
     return workers
