@@ -1,11 +1,11 @@
-"""Per-round differential privacy: clipping, sensitivity, Laplace noise.
+"""Per-round differential privacy: clipping and Laplace noise.
 
 The mechanism is output perturbation: the client adds zero-mean Laplace noise
 of scale b = sensitivity / epsilon to its outgoing parameter vector.  Clipping
-the batch gradient to L2 norm C makes the sensitivity finite; epsilon may be
-infinite, which means no noise.  The privacy guarantee is per communication
-round; no composition across rounds is claimed, and the budget report says so
-explicitly.
+the batch gradient to L2 norm C makes the sensitivity finite
+(``algorithms.noise_spec``); epsilon may be infinite, which means no noise.
+The privacy guarantee is per communication round; no composition across
+rounds is claimed, and the budget report says so explicitly.
 """
 
 from __future__ import annotations
@@ -16,19 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .rng import noise_stream
-
-__all__ = [
-    "PrivacyConfig",
-    "NoiseSpec",
-    "clip_gradient",
-    "sensitivity",
-    "laplace_sample",
-    "laplace_from_uniform",
-    "perturb_output",
-    "dp_budget_report",
-    "noise_stream",
-]
+from .rng import noise_stream  # noqa: F401  (callers import the noise stream from here)
 
 
 @dataclass(frozen=True)
@@ -55,12 +43,6 @@ class NoiseSpec:
     delta_bar: float
     scale_b: float
 
-    @staticmethod
-    def for_run(cfg: PrivacyConfig, delta_bar: float) -> "NoiseSpec":
-        if not cfg.is_private:
-            return NoiseSpec(delta_bar=delta_bar, scale_b=0.0)
-        return NoiseSpec(delta_bar=delta_bar, scale_b=delta_bar / cfg.epsilon_bar)
-
 
 def clip_gradient(grad: np.ndarray, clip_c: float) -> np.ndarray:
     """Scale ``grad`` so its L2 norm is at most ``clip_c``; zero stays zero.
@@ -80,25 +62,6 @@ def clip_gradient(grad: np.ndarray, clip_c: float) -> np.ndarray:
     # Unscaled rows are multiplied by exactly 1.0, which leaves them bitwise alone.
     scale = clip_c / np.maximum(norms, clip_c)
     return (rows * scale[:, None]).reshape(grad.shape)
-
-
-def sensitivity(kind: str, clip_c: float, rho: float = 0.0, zeta: float = 0.0, eta: float = 0.0) -> float:
-    """Worst-case change of the communicated update across neighbouring datasets.
-
-    ADMM variants: 2C/(rho + zeta).  FedAvg: 2C*eta, the same bound under the
-    substitution rho = 1/eta, zeta = 0.
-    """
-    if clip_c <= 0:
-        raise ConfigError(f"clip constant must be positive, got {clip_c}")
-    if kind == "fedavg":
-        if eta <= 0:
-            raise ConfigError("fedavg sensitivity needs a positive step size")
-        return 2.0 * clip_c * eta
-    if kind in ("iceadmm", "iiadmm"):
-        if rho + zeta <= 0:
-            raise ConfigError("sensitivity undefined for rho + zeta <= 0")
-        return 2.0 * clip_c / (rho + zeta)
-    raise ConfigError(f"unknown algorithm kind {kind!r}")
 
 
 def laplace_from_uniform(u: np.ndarray, scale_b: float) -> np.ndarray:

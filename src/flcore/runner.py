@@ -16,14 +16,14 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .algorithms import ALGORITHMS, dual_update, fedavg_global, iceadmm_global, iiadmm_global
+from .algorithms import ALGORITHMS, dual_update, fedavg_global, iceadmm_global, iiadmm_global, noise_spec
 from .config import RunConfig, build_data, initial_model
 from .data import Dataset
 from .errors import ConfigError, FlcoreError, ProtocolError
 from .models import Batch, ModelSpec, loss_and_outputs, param_count
 # Unused here, but flbench/tracing.py patches these names in this module (ROADMAP item 3).
 from .models import loss_and_grad, predict  # noqa: F401
-from .privacy import NoiseSpec, dp_budget_report, sensitivity
+from .privacy import dp_budget_report
 from .transport import HEADER_SIZE, InProcessCarrier, RoundMetrics, decode_vectors
 from .worker import ClientWorker
 
@@ -69,14 +69,6 @@ def validate(spec: ModelSpec, params: np.ndarray, test_data: Dataset) -> tuple[f
     return loss, accuracy
 
 
-def _dp_report(cfg: RunConfig) -> dict:
-    algo, privacy = cfg.algo, cfg.privacy
-    if not privacy.enabled:
-        return dp_budget_report(privacy, NoiseSpec(delta_bar=0.0, scale_b=0.0), algo.rounds)
-    delta = sensitivity(algo.kind, privacy.clip_c, algo.rho_at(1), algo.zeta, algo.eta)
-    return dp_budget_report(privacy, NoiseSpec.for_run(privacy, delta), algo.rounds)
-
-
 def train(
     config: RunConfig,
     carrier=None,
@@ -101,7 +93,8 @@ def train(
     if carrier is None:
         carrier = InProcessCarrier([ClientWorker(config, cid, views[cid]) for cid in range(config.clients)])
 
-    record = RunRecord(metrics=[], final_w=w, dp_report=_dp_report(config))
+    dp_report = dp_budget_report(config.privacy, noise_spec(config.algo, config.privacy, 1), config.algo.rounds)
+    record = RunRecord(metrics=[], final_w=w, dp_report=dp_report)
     writer = open(metrics_path, "w") if metrics_path else None
     try:
         carrier.start(config)

@@ -43,7 +43,7 @@ import numpy as np
 
 from .algorithms import ALGORITHMS
 from .config import RunConfig, shared_settings
-from .errors import ProtocolError, TransportError
+from .errors import ConfigError, ProtocolError, TransportError
 from .models import param_count
 
 log = logging.getLogger("flcore.transport")
@@ -57,6 +57,8 @@ JOIN, JOIN_ACK, GLOBAL_MODEL, LOCAL_UPDATE, DONE, ERROR = range(6)
 KIND_NAMES = ("JOIN", "JOIN_ACK", "GLOBAL_MODEL", "LOCAL_UPDATE", "DONE", "ERROR")
 
 MAX_PAYLOAD = 1 << 32
+# An ERROR carries one message; the longest real one, a settings diff, is a few KB.
+MAX_ERROR_PAYLOAD = 64 * 1024
 _CONNECT_RETRY_S = 0.05
 
 
@@ -171,8 +173,9 @@ def check_update(header: bytes, client_id: int, round_num: int, size: int) -> tu
     """Parse the header of the frame gathered from client p's channel in round t.
 
     It must be p's LOCAL_UPDATE for round t declaring ``size`` bytes, or p's
-    ERROR.  Anything else, a stale round too (with synchronous rounds it can
-    only be a duplicate), is a ProtocolError naming p.  Returns the fields.
+    ERROR of at most MAX_ERROR_PAYLOAD bytes.  Anything else, a stale round
+    too (with synchronous rounds it can only be a duplicate), is a
+    ProtocolError naming p.  Returns the fields.
     """
     try:
         kind, env_round, env_client, length = _parse_header(header)
@@ -186,7 +189,14 @@ def check_update(header: bytes, client_id: int, round_num: int, size: int) -> tu
         )
     if kind == LOCAL_UPDATE and length != size:
         raise ProtocolError(f"client {client_id} declared a {length}-byte update; the session's is {size} bytes")
+    if kind == ERROR and length > MAX_ERROR_PAYLOAD:
+        raise ProtocolError(f"client {client_id} declared a {length}-byte ERROR; the cap is {MAX_ERROR_PAYLOAD}")
     return kind, env_round, env_client, length
+
+
+def _check_client_count(carrier_clients: int, config: RunConfig) -> None:
+    if carrier_clients != config.clients:
+        raise ConfigError(f"the carrier serves {carrier_clients} clients but run.clients is {config.clients}")
 
 
 # --- in-process carrier -----------------------------------------------------
@@ -213,6 +223,7 @@ class InProcessCarrier:
         self._update_size = 0
 
     def start(self, config: RunConfig) -> None:
+        _check_client_count(len(self.workers), config)
         ack_payload = encode_join_ack(config)
         self._update_size = payload_size(config.algo.kind, param_count(config.model))
         for worker in self.workers:
@@ -304,6 +315,7 @@ class TcpServerCarrier:
         self.address = self._listener.getsockname()
 
     def start(self, config: RunConfig) -> None:
+        _check_client_count(self.num_clients, config)
         self._update_size = payload_size(config.algo.kind, param_count(config.model))
         deadline = time.monotonic() + self.handshake_timeout_s
         # One selector serves every peer at once: it accepts whoever is
@@ -401,7 +413,9 @@ class TcpServerCarrier:
             except (TransportError, OSError) as exc:
                 raise TransportError(f"lost client {cid} during round {round_num}: {exc}") from exc
             if env.kind == ERROR:
-                raise TransportError(f"client {cid} reported: {env.payload.decode('utf-8', 'replace')}")
+                # A client that refuses the server's settings answers the JOIN_ACK, in round 0.
+                what = "refused the session at JOIN" if env.round_num == 0 else "reported"
+                raise TransportError(f"client {cid} {what}: {env.payload.decode('utf-8', 'replace')}")
             envs.append(env)
         return envs
 
@@ -454,14 +468,14 @@ class TcpClientChannel:
     def recv(self) -> Envelope:
         try:
             return read_frame(self._sock)
-        except OSError as exc:  # a timeout or a reset; a clean close is already a TransportError
+        except (OSError, TransportError) as exc:  # a timeout, a reset or a clean close
             raise TransportError(f"client {self.client_id} lost the server: {exc}") from exc
 
     def send_update(self, round_num: int, arrays: list[np.ndarray]) -> None:
         self._send(Envelope(LOCAL_UPDATE, round_num, self.client_id, encode_update_payload(arrays)))
 
     def send_error(self, round_num: int, message: str) -> None:
-        self._send(Envelope(ERROR, round_num, self.client_id, message.encode()))
+        self._send(Envelope(ERROR, round_num, self.client_id, message.encode()[:MAX_ERROR_PAYLOAD]))
 
     def _send(self, env: Envelope) -> None:
         try:

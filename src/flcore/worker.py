@@ -21,7 +21,7 @@ from .config import RunConfig, build_data, initial_model
 from .data import BatchPlan, Dataset, batches, shuffle_buffer
 from .errors import ConfigError, FlcoreError, NumericError, ProtocolError, TransportError
 from .models import Batch, loss_and_grad
-from .privacy import NoiseSpec, noise_stream, perturb_output, sensitivity
+from .privacy import NoiseSpec, noise_stream, perturb_output
 
 log = logging.getLogger("flcore.worker")
 
@@ -64,25 +64,19 @@ class ClientWorker:
 
     # -- per-round update ------------------------------------------------------
 
-    def _perturb(self, z: np.ndarray, round_num: int, rho_t: float) -> np.ndarray:
-        privacy = self.config.privacy
-        if not privacy.is_private:
+    def _perturb(self, z: np.ndarray, round_num: int, noise: NoiseSpec) -> np.ndarray:
+        if not self.config.privacy.is_private:
             return z
-        algo = self.config.algo
-        delta = sensitivity(algo.kind, privacy.clip_c, rho_t, algo.zeta, algo.eta)
-        spec = NoiseSpec.for_run(privacy, delta)
-        return perturb_output(z, spec, noise_stream(self.config.seed, self.client_id, round_num))
+        return perturb_output(z, noise, noise_stream(self.config.seed, self.client_id, round_num))
 
     @property
     def group_key(self) -> tuple:
         """In-process workers with equal keys run their rounds through one ``handle_group`` call.
 
         Equal local data size gives equal mini-batch shapes (the ragged last
-        batch included).  ICEADMM clients stay alone: their full-batch step
-        is bound by flops, and stacking it would hold every client's
-        full-batch intermediates at once.
+        batch included).  A kind that does not stack keeps its clients alone.
         """
-        if self.config.algo.kind == "iceadmm":
+        if not algorithms.ALGORITHMS[self.config.algo.kind].stacks:
             return ("client", self.client_id)
         return (self.config, self.local.size)
 
@@ -108,6 +102,7 @@ class ClientWorker:
         config = workers[0].config
         algo, spec = config.algo, config.model
         rho_t = algo.rho_at(round_num)
+        noise = algorithms.noise_spec(algo, config.privacy, round_num)
         clip = config.privacy.clip_c if config.privacy.enabled else None
 
         def grad(z: np.ndarray, batch: Batch) -> np.ndarray:
@@ -123,7 +118,7 @@ class ClientWorker:
         try:
             if algo.kind == "fedavg":
                 z = algorithms.fedavg_local(models, algo.eta, algo.beta, algo.local_steps, epoch_batches, grad, clip)
-                return [[worker._perturb(z[p], round_num, rho_t)] for p, worker in enumerate(workers)]
+                return [[worker._perturb(z[p], round_num, noise)] for p, worker in enumerate(workers)]
             if algo.kind == "iiadmm":
                 # One split per round, reused across the L local epochs.
                 fixed = epoch_batches(0)
@@ -133,7 +128,7 @@ class ClientWorker:
                 )
                 payloads = []
                 for p, worker in enumerate(workers):
-                    z_out = worker._perturb(z[p], round_num, rho_t)
+                    z_out = worker._perturb(z[p], round_num, noise)
                     # Mirrored dual step: the server applies the same formula to the
                     # same communicated value, so both sides stay bitwise equal.
                     worker.lam = algorithms.dual_update(worker.lam, rho_t, models[p], z_out)
@@ -154,7 +149,7 @@ class ClientWorker:
             )
             for p, worker in enumerate(workers):
                 worker.z, worker.lam = z[p], lam[p]
-            return [[worker._perturb(worker.z, round_num, rho_t), worker.lam] for worker in workers]
+            return [[worker._perturb(worker.z, round_num, noise), worker.lam] for worker in workers]
         except NumericError as exc:
             raise NumericError(f"client {client_ids[exc.row]}, round {round_num}: {exc}") from exc
 

@@ -210,6 +210,10 @@ class TestAlgoConfig:
         with pytest.raises(ConfigError):
             AlgoConfig("iiadmm", rho=-1.0).validate()
         with pytest.raises(ConfigError):
+            AlgoConfig("iiadmm", rho=0.0).validate()
+        with pytest.raises(ConfigError):
+            AlgoConfig("iceadmm", rho_gamma=2.0, rho_max=0.0).validate()
+        with pytest.raises(ConfigError):
             AlgoConfig("sgd").validate()
 
     def test_rho_schedule_constant_by_default(self):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from flcore.algorithms import ALGORITHMS, AlgoConfig, noise_spec
 from flcore.errors import ConfigError
 from flcore.privacy import (
     NoiseSpec,
@@ -15,8 +16,14 @@ from flcore.privacy import (
     laplace_sample,
     noise_stream,
     perturb_output,
-    sensitivity,
 )
+
+# IIADMM with C = 1 and rho = zeta = 1 has sensitivity 2C/(rho + zeta) = 1.
+UNIT = AlgoConfig("iiadmm", rho=1.0, zeta=1.0)
+
+
+def private(epsilon, clip=1.0):
+    return PrivacyConfig(enabled=True, epsilon_bar=epsilon, clip_c=clip)
 
 
 class TestClip:
@@ -60,18 +67,27 @@ class TestClip:
 
 class TestSensitivity:
     def test_admm_formula(self):
-        assert sensitivity("iiadmm", 1.0, rho=1.0, zeta=1.0) == 1.0
-        assert sensitivity("iceadmm", 1.0, rho=1.0, zeta=1.0) == 1.0
+        for kind in ("iiadmm", "iceadmm"):
+            spec = noise_spec(AlgoConfig(kind, rho=1.0, zeta=1.0), private(5.0), 1)
+            assert spec == NoiseSpec(delta_bar=1.0, scale_b=0.2)
+            assert ALGORITHMS[kind].sensitivity(AlgoConfig(kind, zeta=1.0), 1.0, 1.0) == 1.0
 
     def test_fedavg_formula(self):
-        assert sensitivity("fedavg", 1.0, eta=0.1) == pytest.approx(0.2)
+        assert noise_spec(AlgoConfig("fedavg", eta=0.1), private(5.0), 1).delta_bar == pytest.approx(0.2)
+        assert ALGORITHMS["fedavg"].sensitivity(AlgoConfig("fedavg", eta=0.1), 1.0, 1.0) == pytest.approx(0.2)
 
     def test_vanishes_with_clip(self):
-        assert sensitivity("iiadmm", 1e-9, rho=1.0, zeta=0.0) == pytest.approx(2e-9)
+        spec = noise_spec(AlgoConfig("iiadmm", rho=1.0, zeta=0.0), private(5.0, clip=1e-9), 1)
+        assert spec.delta_bar == pytest.approx(2e-9)
 
-    def test_degenerate_denominator(self):
-        with pytest.raises(ConfigError):
-            sensitivity("iiadmm", 1.0, rho=0.0, zeta=0.0)
+    def test_follows_the_round_penalty(self):
+        algo = AlgoConfig("iiadmm", rho=1.0, zeta=0.0, rho_gamma=2.0, rho_max=3.0)
+        deltas = [noise_spec(algo, private(5.0), t).delta_bar for t in (1, 2, 3, 4)]
+        assert deltas == [2.0, 1.0, 2.0 / 3.0, 2.0 / 3.0]
+
+    def test_privacy_off_gives_zero(self):
+        for cfg in (PrivacyConfig(), PrivacyConfig(enabled=False, epsilon_bar=5.0)):
+            assert noise_spec(UNIT, cfg, 1) == NoiseSpec(delta_bar=0.0, scale_b=0.0)
 
 
 class TestLaplaceSampler:
@@ -105,8 +121,8 @@ class TestLaplaceSampler:
 
 class TestPerturb:
     def test_infinite_epsilon_is_bitwise_identity(self):
-        cfg = PrivacyConfig(enabled=True, epsilon_bar=math.inf, clip_c=1.0)
-        spec = NoiseSpec.for_run(cfg, delta_bar=1.0)
+        spec = noise_spec(UNIT, private(math.inf), 1)
+        assert spec == NoiseSpec(delta_bar=1.0, scale_b=0.0)
         z = np.random.default_rng(0).normal(size=16)
         assert perturb_output(z, spec, noise_stream(0, 0, 1)) is z
 
@@ -120,12 +136,12 @@ class TestPerturb:
         assert np.array_equal(a, expected)
 
     def test_halving_epsilon_doubles_scale(self):
-        lo = NoiseSpec.for_run(PrivacyConfig(True, 5.0, 1.0), delta_bar=1.0)
-        hi = NoiseSpec.for_run(PrivacyConfig(True, 10.0, 1.0), delta_bar=1.0)
+        lo = noise_spec(UNIT, private(5.0), 1)
+        hi = noise_spec(UNIT, private(10.0), 1)
         assert lo.scale_b == pytest.approx(2.0 * hi.scale_b)
 
     def test_scale_strictly_decreasing_in_epsilon(self):
-        scales = [NoiseSpec.for_run(PrivacyConfig(True, e, 1.0), 1.0).scale_b for e in (3, 5, 10, 100)]
+        scales = [noise_spec(UNIT, private(e), 1).scale_b for e in (3, 5, 10, 100)]
         assert all(a > b for a, b in zip(scales, scales[1:]))
 
 
@@ -144,23 +160,22 @@ class TestStreams:
 
 class TestBudgetReport:
     def test_basic_report(self):
-        cfg = PrivacyConfig(enabled=True, epsilon_bar=10.0, clip_c=1.0)
-        report = dp_budget_report(cfg, NoiseSpec.for_run(cfg, delta_bar=1.0), rounds=50)
+        cfg = private(10.0)
+        report = dp_budget_report(cfg, noise_spec(UNIT, cfg, 1), rounds=50)
         assert report["per_round_epsilon"] == 10.0
         assert report["b"] == pytest.approx(0.1)
         assert report["rounds"] == 50
         assert not report["non_private"]
 
     def test_non_private_marked(self):
-        cfg = PrivacyConfig(enabled=True, epsilon_bar=math.inf, clip_c=1.0)
-        report = dp_budget_report(cfg, NoiseSpec.for_run(cfg, delta_bar=1.0), rounds=10)
+        cfg = private(math.inf)
+        report = dp_budget_report(cfg, noise_spec(UNIT, cfg, 1), rounds=10)
         assert report["non_private"]
         assert report["b"] == 0.0
 
     def test_composed_scale(self):
         # IIADMM with C=1, rho=zeta=1 at epsilon 5: delta=1, b=0.2.
-        cfg = PrivacyConfig(enabled=True, epsilon_bar=5.0, clip_c=1.0)
-        delta = sensitivity("iiadmm", cfg.clip_c, rho=1.0, zeta=1.0)
-        report = dp_budget_report(cfg, NoiseSpec.for_run(cfg, delta), rounds=50)
+        cfg = private(5.0)
+        report = dp_budget_report(cfg, noise_spec(UNIT, cfg, 1), rounds=50)
         assert report["delta_bar"] == 1.0
         assert report["b"] == pytest.approx(0.2)

@@ -51,3 +51,4 @@ def test_tracer_sees_the_stacked_kernel():
     assert calls["worker.loss_and_grad"] == 16
     assert calls["algorithms.clip_gradient"] == 16
     assert calls["algorithms.iiadmm_local"] == 2
+    assert calls["worker.perturb_output"] == 8  # 4 clients x 2 rounds

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from flcore import transport
 from flcore.config import parse_config, shared_settings
-from flcore.errors import ProtocolError, TransportError
+from flcore.errors import ConfigError, ProtocolError, TransportError
 from flcore.transport import (
     DONE,
     ERROR,
@@ -214,6 +214,22 @@ class TestUpdateCollector:
         thread.join(timeout=10.0)
         assert not thread.is_alive()
 
+    def test_long_error_message_truncated_to_the_cap(self):
+        def fail(channel):
+            env = channel.recv()
+            channel.send_error(env.round_num, "x" * (2 * transport.MAX_ERROR_PAYLOAD))
+            channel.recv()  # ends when the server closes
+
+        carrier, thread = scripted_session(fail)
+        carrier.broadcast_model(1, np.zeros(2))
+        # A message of exactly the cap passes the header check.
+        with pytest.raises(TransportError, match="client 0 reported: x+$") as info:
+            carrier.gather_updates(1, timeout_s=10.0)
+        assert str(info.value).count("x") == transport.MAX_ERROR_PAYLOAD
+        carrier.close()
+        thread.join(timeout=10.0)
+        assert not thread.is_alive()
+
 
 class EchoWorker:
     """Minimal in-process client: replies with the received model."""
@@ -240,13 +256,14 @@ class EchoWorker:
         self.done = True
 
 
-def make_config(m=2, rounds=3, kind="iiadmm"):
-    """A run config whose model has m parameters."""
+def make_config(m=2, rounds=3, kind="iiadmm", clients=1):
+    """A run config whose model has m parameters, for a carrier of ``clients`` clients."""
     return parse_config(
         {
             "model": {"kind": "linear-regression", "input_dim": m - 1, "output_dim": 1},
             "algo": {"kind": kind, "rounds": rounds},
             "data": {"source": "synthetic-regression", "input_dim": m - 1},
+            "run": {"clients": clients},
         }
     )
 
@@ -254,7 +271,7 @@ def make_config(m=2, rounds=3, kind="iiadmm"):
 class TestInProcessCarrier:
     def test_byte_accounting(self):
         carrier = transport.InProcessCarrier([EchoWorker(i) for i in range(3)])
-        carrier.start(make_config(m=2))
+        carrier.start(make_config(m=2, clients=3))
         assert carrier.broadcast_model(1, np.array([1.0, 2.0])) == 3 * (22 + 8 + 16)
         envs = carrier.gather_updates(1)
         assert [e.client_id for e in envs] == [0, 1, 2]
@@ -277,7 +294,7 @@ class TestInProcessCarrier:
 
     def test_gather_is_sorted_and_complete(self):
         carrier = transport.InProcessCarrier([EchoWorker(i) for i in reversed(range(5))])
-        carrier.start(make_config())
+        carrier.start(make_config(clients=5))
         carrier.broadcast_model(1, np.zeros(2))
         envs = carrier.gather_updates(1)
         assert [e.client_id for e in envs] == [0, 1, 2, 3, 4]
@@ -288,7 +305,7 @@ class TestInProcessCarrier:
             worker.group_key = "odd"
         carrier = transport.InProcessCarrier(workers)
         assert [[w.client_id for w in group] for group in carrier.groups] == [[0, 2], [1, 3]]
-        carrier.start(make_config())
+        carrier.start(make_config(clients=4))
         w = np.array([0.5, -2.0])
         carrier.broadcast_model(1, w)
         envs = carrier.gather_updates(1)
@@ -353,7 +370,7 @@ class TestTcpCarrier:
         ]
         for t in threads:
             t.start()
-        carrier.start(make_config(m=2, rounds=2))
+        carrier.start(make_config(m=2, rounds=2, clients=2))
         for round_num in (1, 2):
             assert carrier.broadcast_model(round_num, np.array([3.5, -1.0])) == 2 * (22 + 24)
             envs = carrier.gather_updates(round_num, timeout_s=10.0)
@@ -367,7 +384,7 @@ class TestTcpCarrier:
     def test_duplicate_client_id_rejected(self):
         carrier = TcpServerCarrier("127.0.0.1:0", num_clients=2, handshake_timeout_s=10.0)
         port = carrier.address[1]
-        server = threading.Thread(target=lambda: (carrier.start(make_config(rounds=0)), carrier.finish()))
+        server = threading.Thread(target=lambda: (carrier.start(make_config(rounds=0, clients=2)), carrier.finish()))
         server.start()
 
         first = TcpClientChannel(f"127.0.0.1:{port}", 0, timeout_s=10.0)
@@ -564,6 +581,69 @@ class TestTcpCarrier:
                 carrier.gather_updates(1, timeout_s=5.0)
             assert time.monotonic() - begin < 0.5
         carrier.close()
+
+    def test_forged_error_length_rejected_from_header(self):
+        carrier = TcpServerCarrier("127.0.0.1:0", num_clients=1, handshake_timeout_s=10.0)
+        with socket.create_connection(carrier.address[:2], timeout=10.0) as raw:
+            raw.sendall(encode_envelope(Envelope(JOIN, 0, 0)))
+            carrier.start(make_config())
+            assert transport.read_frame(raw).kind == JOIN_ACK
+            carrier.broadcast_model(1, np.zeros(2))
+            assert transport.read_frame(raw).kind == GLOBAL_MODEL
+            raw.sendall(transport.HEADER.pack(transport.MAGIC, transport.VERSION, ERROR, 1, 0, 2**31))
+            begin = time.monotonic()
+            with pytest.raises(ProtocolError, match="client 0 declared a 2147483648-byte ERROR"):
+                carrier.gather_updates(1, timeout_s=5.0)
+            assert time.monotonic() - begin < 0.5
+        carrier.close()
+
+    def test_refusal_at_join_reported_as_one(self):
+        # The raw client answers the JOIN_ACK with ERROR and keeps its socket
+        # open until the server closes, so the ERROR cannot turn into a reset.
+        carrier = TcpServerCarrier("127.0.0.1:0", num_clients=1, handshake_timeout_s=10.0)
+        with socket.create_connection(carrier.address[:2], timeout=10.0) as raw:
+            raw.sendall(encode_envelope(Envelope(JOIN, 0, 0)))
+            carrier.start(make_config())
+            assert transport.read_frame(raw).kind == JOIN_ACK
+            raw.sendall(encode_envelope(Envelope(ERROR, 0, 0, b"client 0 settings differ from the server's")))
+            carrier.broadcast_model(1, np.zeros(2))
+            with pytest.raises(TransportError, match="^client 0 refused the session at JOIN: client 0 settings differ"):
+                carrier.gather_updates(1, timeout_s=5.0)
+            carrier.close()
+            raw.settimeout(5.0)
+            assert transport.read_frame(raw).kind == GLOBAL_MODEL
+            assert raw.recv(1) == b""
+
+    def test_clean_server_close_names_the_client(self):
+        with socket.create_server(("127.0.0.1", 0)) as listener:
+            channel = TcpClientChannel(f"127.0.0.1:{listener.getsockname()[1]}", 3, timeout_s=5.0)
+
+            def serve():  # read the JOIN, then close cleanly
+                conn, _ = listener.accept()
+                with conn:
+                    conn.settimeout(5.0)
+                    transport.read_frame(conn)
+
+            server = threading.Thread(target=serve)
+            server.start()
+            try:
+                with pytest.raises(TransportError, match="client 3 lost the server: connection closed after 0 of 22"):
+                    channel.join()
+            finally:
+                server.join(timeout=10.0)
+                channel.close()
+
+    @pytest.mark.parametrize("carrier_kind", ["in-process", "tcp"])
+    def test_carrier_sized_for_another_client_count(self, carrier_kind):
+        if carrier_kind == "tcp":
+            carrier = TcpServerCarrier("127.0.0.1:0", num_clients=2, handshake_timeout_s=10.0)
+        else:
+            carrier = transport.InProcessCarrier([EchoWorker(0), EchoWorker(1)])
+        try:
+            with pytest.raises(ConfigError, match="the carrier serves 2 clients but run.clients is 3"):
+                carrier.start(make_config(clients=3))
+        finally:
+            carrier.close()
 
     def test_identical_bytes_across_carriers(self):
         # The same model broadcast must reach clients as identical payload

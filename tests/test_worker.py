@@ -3,10 +3,11 @@ import threading
 import numpy as np
 import pytest
 
+from flcore.algorithms import noise_spec
 from flcore.config import config_to_dict, initial_model, parse_config
 from flcore.errors import ConfigError, FlcoreError, NumericError, TransportError
 from flcore.models import param_count
-from flcore.privacy import laplace_sample, noise_stream, sensitivity
+from flcore.privacy import laplace_sample, noise_stream
 from flcore.rng import stream
 from flcore.runner import metrics_line, train
 from flcore.transport import InProcessCarrier, TcpServerCarrier, decode_join_ack, encode_join_ack
@@ -177,8 +178,9 @@ class TestPerturbation:
         noisy = noisy_worker.handle_global(3, w)[0]
         clean = clean_worker.handle_global(3, w)[0]
 
-        delta = sensitivity("iiadmm", 1.0, rho=2.0, zeta=0.5)
-        expected_noise = laplace_sample(delta / 10.0, w.shape[0], noise_stream(cfg.seed, 1, 3))
+        spec = noise_spec(cfg.algo, cfg.privacy, 3)
+        assert spec.scale_b == 2.0 * 1.0 / (2.0 + 0.5) / 10.0
+        expected_noise = laplace_sample(spec.scale_b, w.shape[0], noise_stream(cfg.seed, 1, 3))
         # (z + noise) - z reintroduces one rounding, so compare to one ulp-ish.
         np.testing.assert_allclose(noisy - clean, expected_noise, rtol=0, atol=1e-15)
 
