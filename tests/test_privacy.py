@@ -80,6 +80,11 @@ class TestSensitivity:
         spec = noise_spec(AlgoConfig("iiadmm", rho=1.0, zeta=0.0), private(5.0, clip=1e-9), 1)
         assert spec.delta_bar == pytest.approx(2e-9)
 
+    def test_degenerate_denominator(self):
+        # rho + zeta = 0 would divide by zero; the config refuses it before any noise is calibrated.
+        with pytest.raises(ConfigError):
+            AlgoConfig("iiadmm", rho=0.0, zeta=0.0).validate()
+
     def test_follows_the_round_penalty(self):
         algo = AlgoConfig("iiadmm", rho=1.0, zeta=0.0, rho_gamma=2.0, rho_max=3.0)
         deltas = [noise_spec(algo, private(5.0), t).delta_bar for t in (1, 2, 3, 4)]
