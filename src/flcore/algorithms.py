@@ -11,11 +11,11 @@ take L local steps, and the server aggregates:
                broadcast w; the dual step runs independently on client AND
                server from the same inputs, so only z_p travels.
 
-All updates are pure functions; the caller owns state and scheduling.  The
-local updates take one client's vectors (m,) or a group's stacked (P, m):
-their element-wise steps broadcast, the caller's grad_fn returns gradients of
-the same shape, and a NumericError carries the row of the first client that
-went non-finite.
+All updates are pure functions: a kind's ``client_round`` takes a group's
+(z, lambda) and returns them, and the caller stores them and owns scheduling.
+The local updates take one client's vectors (m,) or a group's stacked (P, m):
+their element-wise steps broadcast, grad_fn returns gradients of the same
+shape, and a NumericError carries the row of the first non-finite client.
 """
 
 from __future__ import annotations
@@ -34,6 +34,9 @@ class Algorithm:
     """The facts about one algorithm kind that modules outside this one need."""
 
     vectors_up: int  # vectors per LOCAL_UPDATE: z, then lambda for ICEADMM
+    # (algo, rho_t, models, z, lam, epoch_batches, full_batch, grad_fn, clip_c, perturb) -> (payloads, z, lam):
+    # one group's local round; row p of each array, payloads[p] and perturb(p, v) (v noised) are client p's.
+    client_round: Callable
     admm: bool  # uses rho/zeta; FedAvg uses eta/beta instead
     # In-process clients of equal data size share one stacked handle_group call.
     # Not ICEADMM: stacking its flops-bound full-batch step measured slower and bigger
@@ -41,13 +44,6 @@ class Algorithm:
     stacks: bool
     sensitivity: Callable  # (algo, clip_c, rho_t) -> the bound noise_spec calibrates the noise to
 
-
-ALGORITHMS = {
-    "fedavg": Algorithm(1, admm=False, stacks=True, sensitivity=lambda algo, c, rho_t: 2.0 * c * algo.eta),
-    "iceadmm": Algorithm(2, admm=True, stacks=False, sensitivity=lambda algo, c, rho_t: 2.0 * c / (rho_t + algo.zeta)),
-    "iiadmm": Algorithm(1, admm=True, stacks=True, sensitivity=lambda algo, c, rho_t: 2.0 * c / (rho_t + algo.zeta)),
-}
-ALGO_KINDS = tuple(ALGORITHMS)
 
 # grad_fn(z, batch) -> raw batch-mean gradient at z
 GradFn = Callable[[np.ndarray, object], np.ndarray]
@@ -259,3 +255,37 @@ def fedavg_global(z_list: Sequence[np.ndarray], weights: Sequence[float]) -> np.
     for z, wt in zip(z_list, weights):
         acc += wt * z
     return acc
+
+
+def _fedavg_round(algo, rho_t, models, z, lam, epoch_batches, full_batch, grad_fn, clip_c, perturb):
+    new_z = fedavg_local(models, algo.eta, algo.beta, algo.local_steps, epoch_batches, grad_fn, clip_c)
+    return [[perturb(p, row)] for p, row in enumerate(new_z)], z, lam
+
+
+def _iiadmm_round(algo, rho_t, models, z, lam, epoch_batches, full_batch, grad_fn, clip_c, perturb):
+    # One split per round, reused across the L local epochs.
+    fixed = epoch_batches(0)
+    new_z = iiadmm_local(models, lam, rho_t, algo.zeta, algo.local_steps, lambda epoch: fixed, grad_fn, clip_c)
+    z_out = [perturb(p, row) for p, row in enumerate(new_z)]
+    # Mirrored dual step: the server applies the same formula to the same
+    # communicated (noised) value, so both sides stay bitwise equal.
+    lam = [dual_update(lam[p], rho_t, models[p], z_out[p]) for p in range(len(models))]
+    return [[row] for row in z_out], z, lam
+
+
+def _iceadmm_round(algo, rho_t, models, z, lam, epoch_batches, full_batch, grad_fn, clip_c, perturb):
+    # Full batch; the noiseless z and lam carry over between rounds.
+    z, lam = iceadmm_local(z, lam, models, rho_t, algo.zeta, algo.local_steps, full_batch(), grad_fn, clip_c)
+    return [[perturb(p, z[p]), lam[p]] for p in range(len(models))], z, lam
+
+
+ALGORITHMS = {
+    "fedavg": Algorithm(1, _fedavg_round, admm=False, stacks=True, sensitivity=lambda algo, c, rho_t: 2.0 * c * algo.eta),
+    "iceadmm": Algorithm(
+        2, _iceadmm_round, admm=True, stacks=False, sensitivity=lambda algo, c, rho_t: 2.0 * c / (rho_t + algo.zeta)
+    ),
+    "iiadmm": Algorithm(
+        1, _iiadmm_round, admm=True, stacks=True, sensitivity=lambda algo, c, rho_t: 2.0 * c / (rho_t + algo.zeta)
+    ),
+}
+ALGO_KINDS = tuple(ALGORITHMS)

@@ -88,28 +88,26 @@ def cmd_client(args) -> int:
     return 0
 
 
-def _parse_eps_list(text: str) -> list[float]:
+def _parse_list(text: str, parse, what: str) -> list:
+    """The non-empty comma-separated tokens of ``text``, each through ``parse``; a bad token is a ConfigError."""
     out = []
-    for token in text.split(","):
-        token = token.strip()
-        if not token:
-            continue
-        out.append(math.inf if token.lower() in ("inf", "infinity") else float(token))
+    for token in filter(None, (token.strip() for token in text.split(","))):
+        try:
+            out.append(parse(token))
+        except ValueError:
+            raise ConfigError(f"bad {what} {token!r} in {text!r}") from None
     if not out:
-        raise ConfigError(f"no epsilon values in {text!r}")
+        raise ConfigError(f"no {what} values in {text!r}")
     return out
 
 
-def _parse_int_list(text: str) -> list[int]:
-    out = [int(token) for token in text.split(",") if token.strip()]
-    if not out:
-        raise ConfigError(f"no integers in {text!r}")
-    return out
+def _parse_eps(token: str) -> float:
+    return math.inf if token.lower() in ("inf", "infinity") else float(token)
 
 
 def cmd_sweep(args) -> int:
     cfg = _load(args)
-    rows = epsilon_sweep(cfg, _parse_eps_list(args.eps), _parse_int_list(args.seeds))
+    rows = epsilon_sweep(cfg, _parse_list(args.eps, _parse_eps, "epsilon"), _parse_list(args.seeds, int, "seed"))
     if args.out:
         write_sweep_csv(rows, args.out)
     print(f"{'epsilon':>10}  {'mean_acc':>10}  {'std_acc':>10}  runs")

@@ -81,22 +81,23 @@ def train(
     pre-started TCP carrier may be passed instead; the trajectory is the same
     either way.  ``on_round_end(t, w, duals, carrier)`` is a test hook.
     """
-    config.validate()
-    m = param_count(config.model)
-    train_data, test_data, part = build_data(config)
-    views = [train_data.subset(idx) for idx in part.assignments]
-    weights = [view.size / train_data.size for view in views]
-
-    w = initial_model(config)
-    duals = [np.zeros(m) for _ in range(config.clients)]
-
-    if carrier is None:
-        carrier = InProcessCarrier([ClientWorker(config, cid, views[cid]) for cid in range(config.clients)])
-
-    dp_report = dp_budget_report(config.privacy, noise_spec(config.algo, config.privacy, 1), config.algo.rounds)
-    record = RunRecord(metrics=[], final_w=w, dp_report=dp_report)
-    writer = open(metrics_path, "w") if metrics_path else None
+    writer = None
     try:
+        config.validate()
+        m = param_count(config.model)
+        train_data, test_data, part = build_data(config)
+        views = [train_data.subset(idx) for idx in part.assignments]
+        weights = [view.size / train_data.size for view in views]
+
+        w = initial_model(config)
+        duals = [np.zeros(m) for _ in range(config.clients)]
+
+        if carrier is None:
+            carrier = InProcessCarrier([ClientWorker(config, cid, views[cid]) for cid in range(config.clients)])
+
+        dp_report = dp_budget_report(config.privacy, noise_spec(config.algo, config.privacy, 1), config.algo.rounds)
+        record = RunRecord(metrics=[], final_w=w, dp_report=dp_report)
+        writer = open(metrics_path, "w") if metrics_path else None
         carrier.start(config)
         for t in range(1, config.algo.rounds + 1):
             try:
@@ -112,7 +113,8 @@ def train(
                 on_round_end(t, w, duals, carrier)
         carrier.finish()
     except BaseException:
-        carrier.close()
+        if carrier is not None:
+            carrier.close()
         raise
     finally:
         if writer:

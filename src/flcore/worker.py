@@ -88,12 +88,12 @@ class ClientWorker:
     def handle_group(workers: list[ClientWorker], round_num: int, models: np.ndarray) -> list[list[np.ndarray]]:
         """One local round for workers of equal ``group_key``, as one stacked computation.
 
-        ``models`` holds each client's decoded w, one row per worker.  One
-        ``loss_and_grad`` call per local step serves every client; batches,
-        noise and the IIADMM dual step use each client's own streams and
-        state, so each client's payload vectors, returned in worker order,
-        are bitwise what it computes alone.  The mini-batches are views of
-        the first worker's shuffle buffer, allocated on its first batched round.
+        ``models`` holds each client's decoded w, one row per worker; the kind's
+        ``client_round`` runs on the group's stacked (z, lambda), then written
+        back.  One ``loss_and_grad`` call per local step serves every client;
+        batches, noise and dual steps use each client's own streams and state,
+        so each client's payloads, in worker order, are bitwise what it computes
+        alone.  Mini-batches are views of the first worker's shuffle buffer.
         """
         for worker in workers:
             if worker.lam is None or worker.z is None:
@@ -101,7 +101,6 @@ class ClientWorker:
         client_ids = [worker.client_id for worker in workers]
         config = workers[0].config
         algo, spec = config.algo, config.model
-        rho_t = algo.rho_at(round_num)
         noise = algorithms.noise_spec(algo, config.privacy, round_num)
         clip = config.privacy.clip_c if config.privacy.enabled else None
 
@@ -115,43 +114,19 @@ class ClientWorker:
                 lead.shuffle = shuffle_buffer(lead.local, len(workers))
             return batches([w.local for w in workers], lead.plan, client_ids, round_num, epoch, lead.shuffle)
 
+        def full_batch() -> Batch:
+            return Batch(_stack([w.local.inputs for w in workers]), _stack([w.local.labels for w in workers]))
+
         try:
-            if algo.kind == "fedavg":
-                z = algorithms.fedavg_local(models, algo.eta, algo.beta, algo.local_steps, epoch_batches, grad, clip)
-                return [[worker._perturb(z[p], round_num, noise)] for p, worker in enumerate(workers)]
-            if algo.kind == "iiadmm":
-                # One split per round, reused across the L local epochs.
-                fixed = epoch_batches(0)
-                lam = _stack([worker.lam for worker in workers])
-                z = algorithms.iiadmm_local(
-                    models, lam, rho_t, algo.zeta, algo.local_steps, lambda epoch: fixed, grad, clip
-                )
-                payloads = []
-                for p, worker in enumerate(workers):
-                    z_out = worker._perturb(z[p], round_num, noise)
-                    # Mirrored dual step: the server applies the same formula to the
-                    # same communicated value, so both sides stay bitwise equal.
-                    worker.lam = algorithms.dual_update(worker.lam, rho_t, models[p], z_out)
-                    payloads.append([z_out])
-                return payloads
-            # iceadmm: full batch, state carries over between rounds.
-            full = Batch(_stack([w.local.inputs for w in workers]), _stack([w.local.labels for w in workers]))
-            z, lam = algorithms.iceadmm_local(
-                _stack([w.z for w in workers]),
-                _stack([w.lam for w in workers]),
-                models,
-                rho_t,
-                algo.zeta,
-                algo.local_steps,
-                full,
-                grad,
-                clip,
+            payloads, z, lam = algorithms.ALGORITHMS[algo.kind].client_round(
+                algo, algo.rho_at(round_num), models, _stack([w.z for w in workers]), _stack([w.lam for w in workers]),
+                epoch_batches, full_batch, grad, clip, lambda p, v: workers[p]._perturb(v, round_num, noise),
             )
-            for p, worker in enumerate(workers):
-                worker.z, worker.lam = z[p], lam[p]
-            return [[worker._perturb(worker.z, round_num, noise), worker.lam] for worker in workers]
         except NumericError as exc:
             raise NumericError(f"client {client_ids[exc.row]}, round {round_num}: {exc}") from exc
+        for p, worker in enumerate(workers):
+            worker.z, worker.lam = z[p], lam[p]
+        return payloads
 
     def handle_done(self, env: transport.Envelope) -> None:
         log.debug("client %d done after %d rounds", self.client_id, self.config.algo.rounds)

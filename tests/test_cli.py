@@ -192,6 +192,11 @@ class TestSweep:
         assert "mean_acc" in out and "inf" in out
         assert len(csv_path.read_text().splitlines()) == 1 + 4
 
+    @pytest.mark.parametrize("eps, seeds, token", [("3,abc", "0", "abc"), ("3", "0,x", "x")], ids=["eps", "seeds"])
+    def test_bad_list_token_exits_2(self, config_path, capsys, eps, seeds, token):
+        assert main(["sweep", "--config", config_path, "--eps", eps, "--seeds", seeds]) == 2
+        assert repr(token) in capsys.readouterr().err
+
 
 class TestGradcheck:
     def test_all_models_pass(self, capsys):

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import socket
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from flcore.data import Dataset
 from flcore.errors import ConfigError
 from flcore.models import ModelSpec, param_count
 from flcore.runner import epsilon_sweep, final_accuracy, metrics_line, train, validate, write_sweep_csv
-from flcore.transport import InProcessCarrier
+from flcore.transport import InProcessCarrier, TcpServerCarrier
 from flcore.worker import build_workers
 
 
@@ -97,6 +98,19 @@ class TestTrainBasics:
         with pytest.raises(ConfigError):
             train(cfg, metrics_path=str(path), on_round_end=bomb)
         assert len(path.read_text().splitlines()) == 2
+
+    @pytest.mark.parametrize("failure", ["metrics-dir-missing", "input-dim-mismatch"])
+    def test_passed_carrier_closed_when_set_up_fails(self, tmp_path, failure):
+        # Both fail before the carrier starts; the listener must not outlive train.
+        if failure == "metrics-dir-missing":
+            cfg, metrics_path, error = blob_config(), str(tmp_path / "missing" / "m.jsonl"), FileNotFoundError
+        else:
+            cfg, metrics_path, error = blob_config(model={"input_dim": 3}), None, ConfigError
+        carrier = TcpServerCarrier("127.0.0.1:0", cfg.clients)
+        with pytest.raises(error):
+            train(cfg, carrier=carrier, metrics_path=metrics_path)
+        with pytest.raises(ConnectionRefusedError):
+            socket.create_connection(carrier.address, timeout=5.0).close()
 
     def test_eval_every_skips_intermediate_rounds(self):
         cfg = blob_config(algo={"rounds": 5}, run={"eval_every": 2})
