@@ -19,7 +19,7 @@ import sys
 from . import rng
 from .config import RunConfig, config_to_dict, load_config
 from .errors import ConfigError, FlcoreError
-from .models import Batch, ModelSpec, grad_check, param_count
+from .models import MODEL_KINDS, Batch, ModelSpec, grad_check, param_count
 from .runner import epsilon_sweep, metrics_line, train, write_sweep_csv
 from .transport import TcpServerCarrier
 from .worker import run_client
@@ -180,7 +180,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("gradcheck", help="finite-difference check of the model gradients")
-    p.add_argument("--model", choices=("linear-regression", "softmax", "mlp1"), required=True)
+    p.add_argument("--model", choices=MODEL_KINDS, required=True)
     p.add_argument("--input-dim", type=int, default=4)
     p.add_argument("--output-dim", type=int, default=3)
     p.add_argument("--hidden-dim", type=int, default=5)

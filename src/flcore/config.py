@@ -218,10 +218,14 @@ def build_data(cfg: RunConfig) -> tuple[Dataset, Dataset, Partition]:
         raise ConfigError(
             f"model expects input_dim={cfg.model.input_dim} but data has {full.input_dim}"
         )
-    if cfg.model.is_classifier:
-        top = int(full.labels.max()) if full.size else 0
-        if top >= cfg.model.output_dim:
-            raise ConfigError(f"labels reach {top} but model has output_dim={cfg.model.output_dim}")
+    if cfg.model.is_classifier and full.size:
+        labels, k = full.labels, cfg.model.output_dim
+        origin = {"csv": d.path, "idx": d.labels_path}.get(d.source, d.source)
+        bad = (labels < 0) | (labels != np.round(labels))  # NaN is bad too: it differs from itself
+        if bad.any():
+            raise ConfigError(f"{origin}: class labels must be integers >= 0, got {labels[bad][0]}")
+        if labels.max() >= k:
+            raise ConfigError(f"{origin}: labels reach {labels.max():g} but model has output_dim={k}")
 
     train, test = train_test_split(full, d.test_fraction, seed)
     part = partition(train, cfg.clients, d.partition, seed, d.shards_per_client)

@@ -308,6 +308,6 @@ def load_csv(path: str, label_column: int, has_header: bool = False) -> Dataset:
     inputs = np.delete(table, label_column, axis=1)
     if inputs.shape[1] == 0:
         raise IngestionError(f"{path}: no feature columns left after removing the label")
-    if np.all(labels == np.round(labels)):
+    if np.all(np.isfinite(labels) & (labels == np.round(labels))):  # inf would cast to garbage
         labels = labels.astype(np.int64)
     return Dataset(inputs, labels)

@@ -1,10 +1,11 @@
-"""Model zoo with hand-derived batch gradients over flat parameter vectors.
+"""Model zoo: affine layers with a ReLU between them, plus a loss head.
 
-Three kinds are supported:
+One forward and one backward pass serve all three kinds; they differ only in
+their layer shapes, (fan_out, fan_in) per layer, and their loss head:
 
-* ``linear-regression`` -- squared-error loss 0.5*(yhat - y)^2
-* ``softmax``           -- multinomial logistic regression, cross-entropy loss
-* ``mlp1``              -- one ReLU hidden layer feeding a softmax output
+* ``linear-regression`` -- one layer (1, d); squared-error loss 0.5*(yhat - y)^2
+* ``softmax``           -- one layer (k, d); cross-entropy loss
+* ``mlp1``              -- layers (h, d) and (k, h); cross-entropy loss
 
 Parameters live in a single float64 vector with a fixed packing order (the
 wire format depends on it): row-major weight matrix first, then biases,
@@ -15,6 +16,7 @@ layer by layer.  All arithmetic is 64-bit IEEE-754; given identical inputs,
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -62,33 +64,48 @@ class Batch:
         return self.inputs.shape[-2]
 
 
-def param_count(spec: ModelSpec) -> int:
-    """Number of flat parameters for a spec (weights plus biases)."""
+@cache
+def _layer_shapes(spec: ModelSpec) -> tuple[tuple[int, int], ...]:
+    """(fan_out, fan_in) of each affine layer, input to output; a ReLU sits between layers.
+
+    Linear regression has one output whatever ``output_dim`` says.
+    """
     spec.validate()
     d, k, h = spec.input_dim, spec.output_dim, spec.hidden_dim
-    if spec.kind == "linear-regression":
-        return d + 1
-    if spec.kind == "softmax":
-        return k * (d + 1)
-    return h * (d + 1) + k * (h + 1)
+    return {"linear-regression": ((1, d),), "softmax": ((k, d),), "mlp1": ((h, d), (k, h))}[spec.kind]
+
+
+def _layers(spec: ModelSpec, vec: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(W, b) views of each layer into a flat vector (m,) or a stack (P, m).
+
+    W is (..., fan_out, fan_in), b is (..., fan_out); the packing is row-major
+    W then b, layer by layer.  Parameters and gradients share it.
+    """
+    lead, o, layers = vec.shape[:-1], 0, []
+    for fan_out, fan_in in _layer_shapes(spec):
+        end = o + fan_out * fan_in
+        layers.append((vec[..., o:end].reshape(*lead, fan_out, fan_in), vec[..., end : end + fan_out]))
+        o = end + fan_out
+    return layers
+
+
+def param_count(spec: ModelSpec) -> int:
+    """Number of flat parameters for a spec (weights plus biases)."""
+    return sum(fan_out * (fan_in + 1) for fan_out, fan_in in _layer_shapes(spec))
 
 
 def init_params(spec: ModelSpec, rng: np.random.Generator) -> np.ndarray:
     """Initial parameter vector.
 
-    Linear models start at zero.  The MLP needs symmetry breaking, so its
-    weights start uniform in +-1/sqrt(fan_in) (biases zero); the draw is
-    deterministic given the stream.
+    Single-layer models start at zero.  Hidden units need symmetry breaking,
+    so a multi-layer model's weights start uniform in +-1/sqrt(fan_in)
+    (biases zero), drawn layer by layer from the stream.
     """
-    m = param_count(spec)
-    if spec.kind != "mlp1":
-        return np.zeros(m)
-    d, k, h = spec.input_dim, spec.output_dim, spec.hidden_dim
-    params = np.zeros(m)
-    w1 = rng.uniform(-1.0, 1.0, size=h * d) / np.sqrt(d)
-    w2 = rng.uniform(-1.0, 1.0, size=k * h) / np.sqrt(h)
-    params[: h * d] = w1
-    params[h * (d + 1) : h * (d + 1) + k * h] = w2
+    params = np.zeros(param_count(spec))
+    layers = _layers(spec, params)
+    if len(layers) > 1:
+        for w, _ in layers:
+            w[...] = (rng.uniform(-1.0, 1.0, size=w.size) / np.sqrt(w.shape[-1])).reshape(w.shape)
     return params
 
 
@@ -100,41 +117,6 @@ def _check_shapes(spec: ModelSpec, params: np.ndarray, inputs: np.ndarray) -> No
     if inputs.ndim != len(lead) + 2 or inputs.shape[:-2] != lead or inputs.shape[-1] != spec.input_dim:
         want = ", ".join([*map(str, lead), "n", str(spec.input_dim)])
         raise ShapeError(f"expected inputs of shape ({want}), got {inputs.shape}")
-
-
-def _class_labels(spec: ModelSpec, y: np.ndarray) -> np.ndarray:
-    y = y.astype(np.int64)
-    if y.size and (y.min() < 0 or y.max() >= spec.output_dim):
-        raise ShapeError(f"class labels must lie in [0, {spec.output_dim})")
-    return y
-
-
-# The unpackers take one parameter vector (m,) or a stack of them (P, m).
-
-
-def _unpack_linear(spec: ModelSpec, params: np.ndarray):
-    d = spec.input_dim
-    return params[..., :d], params[..., d]
-
-
-def _unpack_softmax(spec: ModelSpec, params: np.ndarray):
-    d, k = spec.input_dim, spec.output_dim
-    lead = params.shape[:-1]
-    return params[..., : k * d].reshape(*lead, k, d), params[..., k * d :]
-
-
-def _unpack_mlp(spec: ModelSpec, params: np.ndarray):
-    d, k, h = spec.input_dim, spec.output_dim, spec.hidden_dim
-    lead = params.shape[:-1]
-    o = 0
-    w1 = params[..., o : o + h * d].reshape(*lead, h, d)
-    o += h * d
-    b1 = params[..., o : o + h]
-    o += h
-    w2 = params[..., o : o + k * h].reshape(*lead, k, h)
-    o += k * h
-    b2 = params[..., o : o + k]
-    return w1, b1, w2, b2
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
@@ -162,41 +144,42 @@ def _as_stack(spec: ModelSpec, params: np.ndarray, batch: Batch) -> tuple[np.nda
     return params, x, labels
 
 
-def _outputs(spec: ModelSpec, params: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
-    """Forward pass over a stack: regression values (P, n) or class logits (P, n, k).
+def _outputs(layers: list[tuple[np.ndarray, np.ndarray]], x: np.ndarray) -> list[np.ndarray]:
+    """Forward pass over a stack: the input of every layer, then the output (P, n, fan_out).
 
-    Also returns mlp1's ReLU layer (P, n, h), which the backward pass reads;
-    it is built in one buffer.
+    Each layer's pre-activation is built in one buffer, and a hidden layer
+    is rectified in it; the backward pass reads these buffers.
     """
-    if spec.kind == "linear-regression":
-        w, b = _unpack_linear(spec, params)
-        return (x @ w[..., None])[..., 0] + b[:, None], None
-    if spec.kind == "softmax":
-        wmat, bias = _unpack_softmax(spec, params)
-        return x @ _t(wmat) + bias[:, None, :], None
-    w1, b1, w2, b2 = _unpack_mlp(spec, params)
-    hidden = np.matmul(x, _t(w1))
-    hidden += b1[:, None, :]
-    np.maximum(hidden, 0.0, out=hidden)
-    return hidden @ _t(w2) + b2[:, None, :], hidden
+    acts = [x]
+    for i, (w, b) in enumerate(layers):
+        a = np.matmul(acts[-1], _t(w))
+        a += b[:, None, :]
+        if i < len(layers) - 1:
+            np.maximum(a, 0.0, out=a)
+        acts.append(a)
+    return acts
 
 
-def _forward(spec: ModelSpec, params: np.ndarray, x: np.ndarray, labels: np.ndarray):
+def _forward(spec: ModelSpec, layers: list[tuple[np.ndarray, np.ndarray]], x: np.ndarray, labels: np.ndarray):
     """Losses (P,) of a stack, with the outputs and what the backward pass reads.
 
-    Returns (loss, outputs, hidden, err, onehot): err is the residuals of a
-    regression, or the log-probabilities of a classifier, whose one-hot
-    label mask is ``onehot``.
+    This is the loss head.  Returns (loss, outputs, acts, err, onehot): the
+    outputs are regression values (P, n) or class logits (P, n, k); err is
+    the residuals (P, n, 1) of the squared error, or the log-probabilities
+    of the cross-entropy, whose one-hot label mask is ``onehot``.
     """
     n = x.shape[-2]
-    out, hidden = _outputs(spec, params, x)
-    if spec.kind == "linear-regression":
-        resid = out - labels.astype(np.float64)
-        return 0.5 * (resid[:, None, :] @ resid[..., None])[:, 0, 0] / n, out, hidden, resid, None
-    y = _class_labels(spec, labels)
+    acts = _outputs(layers, x)
+    if not spec.is_classifier:
+        values = acts[-1][..., 0]
+        resid = values - labels.astype(np.float64)
+        return 0.5 * (resid[:, None, :] @ resid[..., None])[:, 0, 0] / n, values, acts, resid[..., None], None
+    y = labels.astype(np.int64)
+    if y.size and (y.min() < 0 or y.max() >= spec.output_dim):
+        raise ShapeError(f"class labels must lie in [0, {spec.output_dim})")
     onehot = y[..., None] == np.arange(spec.output_dim)
-    logp = _log_softmax(out)
-    return -logp[onehot].reshape(y.shape).sum(axis=-1) / n, out, hidden, logp, onehot
+    logp = _log_softmax(acts[-1])
+    return -logp[onehot].reshape(y.shape).sum(axis=-1) / n, acts[-1], acts, logp, onehot
 
 
 def _check_finite(spec: ModelSpec, loss: np.ndarray, grad: np.ndarray | None = None) -> None:
@@ -216,7 +199,7 @@ def loss_and_outputs(spec: ModelSpec, params: np.ndarray, batch: Batch) -> tuple
     """
     stacked = params.ndim == 2
     params, x, labels = _as_stack(spec, params, batch)
-    loss, out, *_ = _forward(spec, params, x, labels)
+    loss, out, *_ = _forward(spec, _layers(spec, params), x, labels)
     _check_finite(spec, loss)
     if stacked:
         return loss, out
@@ -237,31 +220,24 @@ def loss_and_grad(spec: ModelSpec, params: np.ndarray, batch: Batch) -> tuple[fl
     """
     stacked = params.ndim == 2
     params, x, labels = _as_stack(spec, params, batch)
-    loss, _, hidden, err, onehot = _forward(spec, params, x, labels)
-    count, n = x.shape[0], x.shape[-2]
-    d, k, h = spec.input_dim, spec.output_dim, spec.hidden_dim
-    grad = np.empty_like(params)
-    if spec.kind == "linear-regression":
-        grad[:, :d] = (_t(x) @ err[..., None])[..., 0] / n
-        grad[:, d] = err.sum(axis=-1) / n
-    else:
-        # exp(log p) - onehot, scaled by 1/n, in the buffer of log p.
-        delta = np.exp(err, out=err)
+    layers = _layers(spec, params)
+    loss, _, acts, delta, onehot = _forward(spec, layers, x, labels)
+    n = x.shape[-2]
+    if onehot is not None:
+        # Cross-entropy: exp(log p) - onehot, scaled by 1/n, in the buffer of log p.
+        np.exp(delta, out=delta)
         delta -= onehot
         delta /= n
-        if spec.kind == "softmax":
-            np.matmul(_t(delta), x, out=grad[:, : k * d].reshape(count, k, d))
-            grad[:, k * d :] = delta.sum(axis=-2)
-        else:
-            _, _, w2, _ = _unpack_mlp(spec, params)
-            o = h * (d + 1)
-            dpre = delta @ w2
-            # hidden > 0 is pre > 0, NaN included: max(NaN, 0) is NaN.
-            dpre *= hidden > 0.0
-            np.matmul(_t(dpre), x, out=grad[:, : h * d].reshape(count, h, d))
-            grad[:, h * d : o] = dpre.sum(axis=-2)
-            np.matmul(_t(delta), hidden, out=grad[:, o : o + k * h].reshape(count, k, h))
-            grad[:, o + k * h :] = delta.sum(axis=-2)
+    grad = np.empty(params.shape)
+    for i, (gw, gb) in reversed(list(enumerate(_layers(spec, grad)))):
+        np.matmul(_t(delta), acts[i], out=gw)
+        gb[...] = delta.sum(axis=-2)
+        if i:
+            delta = delta @ layers[i][0]
+            # acts[i] > 0 is pre > 0, NaN included: max(NaN, 0) is NaN.
+            delta *= acts[i] > 0.0
+    if onehot is None:
+        grad /= n  # squared error: dividing the residuals by n instead would change the last bits
     _check_finite(spec, loss, grad)
     if stacked:
         return loss, grad
@@ -272,8 +248,8 @@ def predict(spec: ModelSpec, params: np.ndarray, inputs: np.ndarray) -> np.ndarr
     """Regression value, or argmax class index with ties to the smallest index."""
     x = np.asarray(inputs, dtype=np.float64)
     _check_shapes(spec, params, x)
-    out = _outputs(spec, params[None], x[None])[0][0]
-    return out if spec.kind == "linear-regression" else np.argmax(out, axis=-1)
+    out = _outputs(_layers(spec, params[None]), x[None])[-1][0]
+    return np.argmax(out, axis=-1) if spec.is_classifier else out[:, 0]
 
 
 @dataclass(frozen=True)

@@ -254,9 +254,7 @@ class InProcessCarrier:
         return envs
 
     def finish(self) -> None:
-        frame = encode_envelope(Envelope(DONE, 0, 0))
-        for worker in self.workers:
-            worker.handle_done(decode_envelope(frame))
+        pass
 
     def close(self) -> None:
         pass

@@ -128,9 +128,6 @@ class ClientWorker:
             worker.z, worker.lam = z[p], lam[p]
         return payloads
 
-    def handle_done(self, env: transport.Envelope) -> None:
-        log.debug("client %d done after %d rounds", self.client_id, self.config.algo.rounds)
-
 
 def _stack(arrays: list[np.ndarray]) -> np.ndarray:
     """Stack along a new client axis; a group of one gets a view, not a copy."""
@@ -168,7 +165,7 @@ def run_client(addr: str, client_id: int, config: RunConfig, timeout_s: float | 
         while True:
             env = channel.recv()
             if env.kind == transport.DONE:
-                worker.handle_done(env)
+                log.debug("client %d done after %d rounds", client_id, config.algo.rounds)
                 return
             if env.kind == transport.ERROR:
                 raise TransportError(f"server error: {env.payload.decode('utf-8', 'replace')}")

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import pytest
 
@@ -173,11 +174,24 @@ class TestBuildData:
         with pytest.raises(ConfigError, match="input_dim"):
             build_data(parse_config(obj))
 
-    def test_labels_beyond_output_dim_rejected(self):
+    def test_labels_beyond_output_dim_rejected(self, tmp_path):
         obj = minimal()
         obj["data"]["classes"] = 3
         with pytest.raises(ConfigError, match="output_dim"):
             build_data(parse_config(obj))
+        # A label that is not a class index is refused at set-up, naming its file,
+        # rather than truncated (1.5 -> 1) or failing mid-run (-1, inf).
+        for bad, why in [
+            ("1.5", "class labels must be integers >= 0, got 1.5"),
+            ("-1", "class labels must be integers >= 0, got -1"),
+            ("inf", "labels reach inf but model has output_dim=2"),
+        ]:
+            path = tmp_path / f"labels{bad}.csv"
+            path.write_text("".join(f"{i},{-i},{bad if i == 3 else i % 2}\n" for i in range(10)))
+            obj = minimal()
+            obj["data"] = {"source": "csv", "path": str(path), "input_dim": 2}
+            with pytest.raises(ConfigError, match=re.escape(f"{path}: {why}")):
+                build_data(parse_config(obj))
 
     def test_split_and_partition_shapes(self):
         train, test, part = build_data(parse_config(minimal()))

@@ -300,6 +300,52 @@ class TestInitParams:
         assert a.any()
 
 
+class TestPacking:
+    """The layout the wire format depends on: row-major W, then b, layer by layer."""
+
+    @pytest.mark.parametrize(
+        "spec, shapes",
+        [
+            (LINREG, [(1, 3)]),
+            (ModelSpec("linear-regression", 3, 2), [(1, 3)]),  # one output whatever output_dim says
+            (SOFTMAX, [(3, 2)]),
+            (MLP, [(5, 4), (3, 5)]),
+        ],
+        ids=["linear-regression", "linear-regression-od2", "softmax", "mlp1"],
+    )
+    def test_forward_reads_weights_then_biases(self, spec, shapes):
+        gen = rng.stream("test-packing", spec.kind)
+        layers = [(gen.normal(size=shape), gen.normal(size=shape[0])) for shape in shapes]
+        params = np.concatenate([part for w, b in layers for part in (w.ravel(), b)])
+        x = gen.normal(size=(7, spec.input_dim))
+        out = x
+        for i, (w, b) in enumerate(layers):
+            out = out @ w.T + b
+            if i < len(layers) - 1:
+                out = np.maximum(out, 0.0)
+        if spec.is_classifier:
+            y = gen.integers(0, spec.output_dim, 7)
+            logp = out - out.max(axis=1, keepdims=True)
+            logp -= np.log(np.exp(logp).sum(axis=1, keepdims=True))
+            want_loss = -logp[np.arange(7), y].mean()
+        else:
+            y = gen.normal(size=7)
+            out = out[:, 0]
+            want_loss = 0.5 * np.mean((out - y) ** 2)
+        assert params.size == param_count(spec)
+        loss, got = loss_and_outputs(spec, params, Batch(x, y))
+        np.testing.assert_allclose(got, out, rtol=1e-12, atol=1e-12)
+        assert loss == pytest.approx(want_loss, rel=1e-12)
+
+    def test_mlp1_init_is_the_documented_draw(self):
+        d, k, h = MLP.input_dim, MLP.output_dim, MLP.hidden_dim
+        gen = rng.stream("init", 7)
+        w1 = gen.uniform(-1.0, 1.0, h * d) / np.sqrt(d)
+        w2 = gen.uniform(-1.0, 1.0, k * h) / np.sqrt(h)
+        want = np.concatenate([w1, np.zeros(h), w2, np.zeros(k)])
+        assert np.array_equal(init_params(MLP, rng.stream("init", 7)), want)
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     seed=st.integers(0, 10_000),

@@ -252,9 +252,6 @@ class EchoWorker:
     def handle_group(workers, round_num, models):
         return [worker.handle_global(round_num, w) for worker, w in zip(workers, models)]
 
-    def handle_done(self, env):
-        self.done = True
-
 
 def make_config(m=2, rounds=3, kind="iiadmm", clients=1):
     """A run config whose model has m parameters, for a carrier of ``clients`` clients."""
