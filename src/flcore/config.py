@@ -197,7 +197,9 @@ def build_data(cfg: RunConfig) -> tuple[Dataset, Dataset, Partition]:
     """Materialize (train, test, partition) for a config.
 
     Pure function of the config, so server and remote clients independently
-    agree on every sample assignment.
+    agree on every sample assignment.  ``train`` and ``test`` are views of the
+    one buffer that holds the dataset; a CSV's non-finite inputs or labels are
+    refused.
     """
     d = cfg.data
     seed = cfg.data_seed
@@ -226,6 +228,11 @@ def build_data(cfg: RunConfig) -> tuple[Dataset, Dataset, Partition]:
             raise ConfigError(f"{origin}: class labels must be integers >= 0, got {labels[bad][0]}")
         if labels.max() >= k:
             raise ConfigError(f"{origin}: labels reach {labels.max():g} but model has output_dim={k}")
+    if d.source == "csv":  # generated and IDX data are finite by construction
+        for name, values in (("inputs", full.inputs), ("labels", full.labels)):
+            finite = np.isfinite(values)
+            if not finite.all():
+                raise ConfigError(f"{d.path}: {name} must be finite, got {values[~finite][0]}")
 
     train, test = train_test_split(full, d.test_fraction, seed)
     part = partition(train, cfg.clients, d.partition, seed, d.shards_per_client)

@@ -4,8 +4,9 @@ Synthetic generators cover the two desk-scale workloads (noisy linear
 regression and Gaussian blob classification); IDX and CSV loaders bring in
 real files.  Partitioning supports an equal contiguous split, an IID shuffle,
 and a label-sorted shard deal for controllable non-IID skew.  Everything here
-is a pure, seeded function: the same arguments always produce bitwise-equal
-arrays.
+is a seeded function: the same arguments always produce bitwise-equal
+arrays.  Each dataset is held once: the holdout split reorders its rows in
+place, and a client's contiguous share of them is a view.
 """
 
 from __future__ import annotations
@@ -26,6 +27,10 @@ IDX_LABELS_MAGIC = 0x00000801
 
 PARTITION_SCHEMES = ("equal", "iid-shuffle", "label-shards")
 
+# Largest block of rows that train_test_split copies at once while it
+# reorders a dataset in place.
+MOVE_CHUNK_BYTES = 4 << 20
+
 
 @dataclass(frozen=True)
 class Dataset:
@@ -41,6 +46,16 @@ class Dataset:
         return self.inputs.shape[1]
 
     def subset(self, indices: np.ndarray) -> "Dataset":
+        """Rows ``indices`` of this dataset.
+
+        One ascending run of consecutive indices comes back as slice views,
+        so the subset aliases this dataset and writes to either show in both;
+        any other index set is copied.
+        """
+        if len(indices) and indices.dtype.kind in "iu" and 0 <= indices[0] <= self.size - len(indices):
+            run = slice(int(indices[0]), int(indices[0]) + len(indices))
+            if np.array_equal(indices, np.arange(run.start, run.stop)):
+                return Dataset(self.inputs[run], self.labels[run])
         return Dataset(self.inputs[indices], self.labels[indices])
 
 
@@ -102,7 +117,10 @@ def generate_synthetic(
         if input_dim >= 2:
             centers[:, 1] = radius * np.sin(angles)
         labels = np.arange(n, dtype=np.int64) % classes
-        x = centers[labels] + noise * gen.standard_normal((n, input_dim))
+        # In place, bitwise equal to centers[labels] + noise * normals.
+        x = gen.standard_normal((n, input_dim))
+        x *= noise
+        x += centers[labels]
         return Dataset(x, labels)
     raise ConfigError(f"unknown synthetic kind {kind!r}; expected 'regression' or 'blobs'")
 
@@ -225,7 +243,13 @@ def shuffle_buffer(data: Dataset, clients: int) -> tuple[np.ndarray, np.ndarray]
 
 
 def train_test_split(dataset: Dataset, test_fraction: float, seed: int) -> tuple[Dataset, Dataset]:
-    """Seeded holdout split; the test part stays on the server for validation."""
+    """Seeded holdout split; the test part stays on the server for validation.
+
+    The split takes over ``dataset``'s buffers: it reorders their rows in
+    place, train rows first and test rows after them, each in their original
+    order, and returns both parts as views of those buffers.  ``dataset``
+    itself holds the reordered rows afterwards.
+    """
     if not 0.0 <= test_fraction < 1.0:
         raise ConfigError("test_fraction must lie in [0, 1)")
     if test_fraction == 0.0:
@@ -235,7 +259,25 @@ def train_test_split(dataset: Dataset, test_fraction: float, seed: int) -> tuple
     n_test = min(max(n_test, 1), dataset.size - 1)
     test_idx = np.sort(order[:n_test])
     train_idx = np.sort(order[n_test:])
-    return dataset.subset(train_idx), dataset.subset(test_idx)
+    for array in (dataset.inputs, dataset.labels):
+        _train_rows_first(array, train_idx, test_idx)
+    n_train, inputs, labels = len(train_idx), dataset.inputs, dataset.labels
+    return Dataset(inputs[:n_train], labels[:n_train]), Dataset(inputs[n_train:], labels[n_train:])
+
+
+def _train_rows_first(array: np.ndarray, train_idx: np.ndarray, test_idx: np.ndarray) -> None:
+    """Rows ``train_idx`` then rows ``test_idx`` of ``array``, written over ``array``.
+
+    Only the test rows are copied whole.  The train rows move forward a chunk
+    at a time; since the sorted ``train_idx[i] >= i``, a chunk reads only rows
+    that no earlier chunk has overwritten.
+    """
+    test = array[test_idx]
+    step = max(1, MOVE_CHUNK_BYTES // array[:1].nbytes)
+    for start in range(0, len(train_idx), step):
+        rows = train_idx[start : start + step]
+        array[start : start + len(rows)] = array[rows]
+    array[len(train_idx) :] = test
 
 
 def _read_exact(f, count: int, path: str, offset: int) -> bytes:
@@ -277,7 +319,8 @@ def load_idx(images_path: str, labels_path: str) -> Dataset:
         raise IngestionError(
             f"image/label count mismatch: {images.shape[0]} images vs {labels.shape[0]} labels"
         )
-    flat = images.reshape(images.shape[0], -1).astype(np.float64) / 255.0
+    flat = images.reshape(images.shape[0], -1).astype(np.float64)
+    flat /= 255.0
     return Dataset(flat, labels.astype(np.int64))
 
 
@@ -304,7 +347,7 @@ def load_csv(path: str, label_column: int, has_header: bool = False) -> Dataset:
         raise IngestionError(f"{path}: label_column {label_column} out of range for width {width}")
     table = np.asarray(rows, dtype=np.float64)
     label_column %= width
-    labels = table[:, label_column]
+    labels = table[:, label_column].copy()  # a view would keep the whole table alive
     inputs = np.delete(table, label_column, axis=1)
     if inputs.shape[1] == 0:
         raise IngestionError(f"{path}: no feature columns left after removing the label")

@@ -148,7 +148,11 @@ def build_worker(config: RunConfig, client_id: int) -> ClientWorker:
     train, _, part = build_data(config)
     if client_id >= len(part.assignments):
         raise ConfigError(f"client id {client_id} out of range for {config.clients} clients")
-    return ClientWorker(config, client_id, train.subset(part.assignments[client_id]))
+    mine = train.subset(part.assignments[client_id])
+    if np.shares_memory(mine.inputs, train.inputs):
+        # A view would keep every client's rows alive in this process.
+        mine = Dataset(mine.inputs.copy(), mine.labels.copy())
+    return ClientWorker(config, client_id, mine)
 
 
 def run_client(addr: str, client_id: int, config: RunConfig, timeout_s: float | None = None) -> None:

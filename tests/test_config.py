@@ -4,6 +4,7 @@ import re
 
 import pytest
 
+from flcore.cli import main
 from flcore.config import LOCAL_KEYS, build_data, config_to_dict, load_config, parse_config, shared_settings
 from flcore.errors import ConfigError
 
@@ -192,6 +193,22 @@ class TestBuildData:
             obj["data"] = {"source": "csv", "path": str(path), "input_dim": 2}
             with pytest.raises(ConfigError, match=re.escape(f"{path}: {why}")):
                 build_data(parse_config(obj))
+
+    @pytest.mark.parametrize(
+        "bad_row, why", [("3,-3,nan", "labels must be finite, got nan"), ("3,inf,3", "inputs must be finite, got inf")]
+    )
+    def test_non_finite_data_rejected(self, tmp_path, bad_row, why):
+        # Refused at set-up, so `flc simulate` exits 2 before round 1 instead of 1 in it.
+        path = tmp_path / "d.csv"
+        path.write_text("".join((bad_row if i == 3 else f"{i},{-i},{i}") + "\n" for i in range(10)))
+        obj = minimal()
+        obj["model"] = {"kind": "linear-regression", "input_dim": 2, "output_dim": 1}
+        obj["data"] = {"source": "csv", "path": str(path), "input_dim": 2}
+        with pytest.raises(ConfigError, match=re.escape(f"{path}: {why}")):
+            build_data(parse_config(obj))
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(obj))
+        assert main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "m.jsonl")]) == 2
 
     def test_split_and_partition_shapes(self):
         train, test, part = build_data(parse_config(minimal()))

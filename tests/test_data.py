@@ -1,11 +1,16 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from flcore import rng
+from flcore.config import build_data, parse_config
 from flcore.data import (
+    MOVE_CHUNK_BYTES,
+    PARTITION_SCHEMES,
     BatchPlan,
     Dataset,
     batches,
@@ -179,6 +184,85 @@ class TestHoldout:
         ds = generate_synthetic("blobs", 10, 2, classes=2, seed=0)
         train, test = train_test_split(ds, 0.0, seed=0)
         assert train.size == 10 and test.size == 0
+
+
+def data_config(source, scheme, test_fraction, n=45, input_dim=3):
+    model = {"kind": "softmax", "input_dim": input_dim, "output_dim": 3}
+    if source == "synthetic-regression":
+        model = {"kind": "linear-regression", "input_dim": input_dim, "output_dim": 1}
+    return parse_config({
+        "model": model,
+        "data": {"source": source, "n": n, "input_dim": input_dim, "classes": 3, "partition": scheme,
+                 "test_fraction": test_fraction},
+        "run": {"clients": 4, "seed": 3},
+    })
+
+
+def fancy_index_build(cfg):
+    """(train, test, client views) as fancy-index copies: the reference for build_data's in-place split."""
+    d = cfg.data
+    kind = d.source.removeprefix("synthetic-")
+    full = generate_synthetic(kind, d.n, d.input_dim, d.classes if kind == "blobs" else 1, d.noise, cfg.data_seed)
+    train_idx, test_idx = np.arange(d.n), np.arange(0)
+    if d.test_fraction:
+        order = rng.stream("holdout", cfg.data_seed, d.n).permutation(d.n)
+        n_test = min(max(int(round(d.n * d.test_fraction)), 1), d.n - 1)
+        train_idx, test_idx = np.sort(order[n_test:]), np.sort(order[:n_test])
+    train = Dataset(full.inputs[train_idx], full.labels[train_idx])
+    test = Dataset(full.inputs[test_idx], full.labels[test_idx])
+    part = partition(train, cfg.clients, d.partition, cfg.data_seed, d.shards_per_client)
+    return train, test, [Dataset(train.inputs[idx], train.labels[idx]) for idx in part.assignments]
+
+
+def same_bits(a: Dataset, b: Dataset) -> bool:
+    return all(
+        x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+        for x, y in ((a.inputs, b.inputs), (a.labels, b.labels))
+    )
+
+
+class TestHeldOnce:
+    @pytest.mark.parametrize("test_fraction", [0.0, 0.2])
+    @pytest.mark.parametrize("source", ["synthetic-regression", "synthetic-blobs"])
+    @pytest.mark.parametrize("scheme", PARTITION_SCHEMES)
+    def test_build_matches_fancy_index_construction(self, scheme, source, test_fraction):
+        cfg = data_config(source, scheme, test_fraction)
+        train, test, part = build_data(cfg)
+        ref_train, ref_test, ref_views = fancy_index_build(cfg)
+        assert same_bits(train, ref_train) and same_bits(test, ref_test)
+        views = [train.subset(idx) for idx in part.assignments]
+        assert all(same_bits(view, ref) for view, ref in zip(views, ref_views, strict=True))
+        if scheme == "equal":
+            assert all(np.shares_memory(view.inputs, train.inputs) for view in views)
+            assert all(np.shares_memory(view.labels, train.labels) for view in views)
+
+    def test_subset_views_only_one_ascending_run(self):
+        ds = generate_synthetic("blobs", 10, 2, classes=2, seed=0)
+        run = ds.subset(np.arange(3, 7))
+        assert np.shares_memory(run.inputs, ds.inputs) and np.array_equal(run.labels, ds.labels[3:7])
+        for idx in ([3, 4, 6], [6, 5, 4], [-2, -1], [True] * 10, np.arange(0, dtype=np.int64)):
+            sub = ds.subset(np.asarray(idx))
+            assert not np.shares_memory(sub.inputs, ds.inputs)
+            assert np.array_equal(sub.inputs, ds.inputs[np.asarray(idx)])
+        with pytest.raises(IndexError):
+            ds.subset(np.arange(8, 11))
+
+    def test_build_peak_is_one_dataset_plus_its_test_rows(self):
+        # A wide regression set: at most the generated set, a copy of its
+        # test rows and one chunk of moved train rows are alive at once.
+        n, d = 80, 20_000
+        cfg = data_config("synthetic-regression", "equal", 0.2, n=n, input_dim=d)
+        generated = n * (d + 1) * 8
+        test_rows = 16 * (d + 1) * 8
+        build_data(data_config("synthetic-regression", "equal", 0.2))  # first-call imports and caches
+        tracemalloc.start()
+        try:
+            train, test, _ = build_data(cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (train.size, test.size) == (64, 16)
+        assert peak <= generated + test_rows + MOVE_CHUNK_BYTES, f"peak {peak / 2**20:.2f} MiB"
 
 
 def write_idx_images(path, arrays: np.ndarray) -> None:
