@@ -17,9 +17,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .algorithms import ALGORITHMS, dual_update, fedavg_global, iceadmm_global, iiadmm_global, noise_spec
+from .blas import single_thread
 from .config import RunConfig, build_data, initial_model
 from .data import Dataset
-from .errors import ConfigError, FlcoreError, ProtocolError
+from .errors import ConfigError, FlcoreError, NumericError, ProtocolError
 from .models import Batch, ModelSpec, loss_and_outputs, param_count
 # Unused here, but flbench/tracing.py patches these names in this module (ROADMAP item 3).
 from .models import loss_and_grad, predict  # noqa: F401
@@ -59,10 +60,18 @@ def metrics_line(m: RoundMetrics) -> str:
 
 
 def validate(spec: ModelSpec, params: np.ndarray, test_data: Dataset) -> tuple[float, float | None]:
-    """Mean loss and (for classifiers) argmax accuracy on a dataset, from one forward pass."""
+    """Mean loss and (for classifiers) argmax accuracy on a dataset, from one forward pass.
+
+    The pass runs on one BLAS thread (``blas.single_thread``), so the loss and
+    accuracy do not depend on the host's BLAS thread count.  That count is
+    process-wide while the pass runs.  With synchronous rounds no client in the
+    same process runs BLAS meanwhile, because every client waits for the next
+    GLOBAL_MODEL, so a server that hosts its clients as threads is unaffected.
+    """
     if test_data.size == 0:
         raise ConfigError("validation requires a nonempty test set")
-    loss, outputs = loss_and_outputs(spec, params, Batch(test_data.inputs, test_data.labels))
+    with single_thread():
+        loss, outputs = loss_and_outputs(spec, params, Batch(test_data.inputs, test_data.labels))
     accuracy = None
     if spec.is_classifier:
         accuracy = float(np.mean(np.argmax(outputs, axis=-1) == test_data.labels))
@@ -140,6 +149,8 @@ def _run_round(config, carrier, t, w, duals, weights, views, test_data):
             )
         if any(v.shape[0] != m for v in vectors):
             raise ProtocolError(f"client {env.client_id} sent a vector of the wrong dimension")
+        if not all(np.isfinite(v).all() for v in vectors):
+            raise ProtocolError(f"client {env.client_id} sent a non-finite value")
         z_list.append(vectors[0])
         if expected == 2:
             lam_list.append(vectors[1])
@@ -157,13 +168,13 @@ def _run_round(config, carrier, t, w, duals, weights, views, test_data):
     train_loss = 0.0
     residual = 0.0
     for p, view in enumerate(views):
-        loss, _ = validate(spec, z_list[p], view)
+        loss, _ = _evaluate(f"client {p}'s train loss", spec, z_list[p], view)
         train_loss += weights[p] * loss
         residual = max(residual, float(np.max(np.abs(w_new - z_list[p]))))
 
     test_acc = None
     if test_data.size and (t % config.eval_every == 0 or t == algo.rounds):
-        _, test_acc = validate(spec, w_new, test_data)
+        _, test_acc = _evaluate("the test split", spec, w_new, test_data)
 
     payload_up = sum(len(env.payload) for env in envelopes)
     metrics = RoundMetrics(
@@ -176,6 +187,14 @@ def _run_round(config, carrier, t, w, duals, weights, views, test_data):
         payload_bytes_up=payload_up,
     )
     return w_new, duals, metrics
+
+
+def _evaluate(what: str, spec: ModelSpec, params: np.ndarray, data: Dataset) -> tuple[float, float | None]:
+    """``validate``, with a NumericError naming the server's pass that failed."""
+    try:
+        return validate(spec, params, data)
+    except NumericError as exc:
+        raise NumericError(f"evaluating {what}: {exc}") from exc
 
 
 def final_accuracy(record: RunRecord) -> float:

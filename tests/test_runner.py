@@ -8,11 +8,11 @@ import pytest
 
 from flcore.algorithms import iiadmm_global
 from flcore.config import parse_config
-from flcore.data import Dataset
-from flcore.errors import ConfigError
+from flcore.data import Dataset, train_test_split
+from flcore.errors import ConfigError, NumericError, ProtocolError
 from flcore.models import ModelSpec, param_count
 from flcore.runner import epsilon_sweep, final_accuracy, metrics_line, train, validate, write_sweep_csv
-from flcore.transport import InProcessCarrier, TcpServerCarrier
+from flcore.transport import InProcessCarrier, TcpServerCarrier, decode_vectors, encode_update_payload
 from flcore.worker import build_workers
 
 
@@ -132,6 +132,71 @@ class TestTrainBasics:
             }
         )
         with pytest.raises(Exception, match=r"round \d+.*client \d+|client \d+.*round \d+"):
+            train(cfg)
+
+
+class RewritingCarrier(InProcessCarrier):
+    """An in-process carrier whose client 1 sends ``value`` in every coordinate of its round-2 update."""
+
+    def __init__(self, workers, value):
+        super().__init__(workers)
+        self.value = value
+
+    def gather_updates(self, round_num, timeout_s=60.0):
+        envs = super().gather_updates(round_num, timeout_s)
+        if round_num == 2:
+            vectors = decode_vectors(envs[1].payload)
+            payload = encode_update_payload([np.full_like(v, self.value) for v in vectors])
+            envs[1] = dataclasses.replace(envs[1], payload=payload)
+        return envs
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+class TestNonFiniteNamed:
+    @pytest.mark.parametrize("kind", ["fedavg", "iiadmm"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_update_names_client(self, kind, value):
+        cfg = blob_config(algo={"kind": kind, "rounds": 3}, run={"clients": 3})
+        with pytest.raises(ProtocolError, match=r"^round 2: client 1 sent a non-finite value$"):
+            train(cfg, carrier=RewritingCarrier(build_workers(cfg), value))
+
+    @pytest.mark.parametrize("kind", ["fedavg", "iiadmm"])
+    def test_overflowing_update_names_the_train_loss_pass(self, kind):
+        cfg = blob_config(algo={"kind": kind, "rounds": 3}, run={"clients": 3})
+        with pytest.raises(NumericError, match=r"^round 2: evaluating client 1's train loss: non-finite"):
+            train(cfg, carrier=RewritingCarrier(build_workers(cfg), 1e308))
+
+    def test_overflowing_step_names_the_train_loss_pass(self):
+        # Each client's own steps stay finite; the server's loss at the iterate it receives overflows.
+        cfg = parse_config(
+            {
+                "model": {"kind": "linear-regression", "input_dim": 3},
+                "algo": {"kind": "fedavg", "eta": 1e150, "rounds": 3, "local_steps": 1, "batch_size": 64},
+                "data": {"source": "synthetic-regression", "n": 80, "input_dim": 3, "noise": 0.1},
+                "run": {"clients": 2, "seed": 0},
+            }
+        )
+        with pytest.raises(NumericError, match=r"^round 2: evaluating client 0's train loss: non-finite"):
+            train(cfg)
+
+    def test_overflowing_test_split_is_named(self, tmp_path):
+        # One test row of 1e200s: the model trains on the other rows, and only the test-split loss overflows.
+        n, test_fraction, seed = 40, 0.25, 3
+        order = Dataset(np.arange(n, dtype=np.float64)[:, None], np.zeros(n))
+        _, test = train_test_split(order, test_fraction, seed)
+        rows = np.random.default_rng(0).normal(size=(n, 3))
+        rows[int(test.inputs[0, 0]), :2] = 1e200
+        path = tmp_path / "data.csv"
+        np.savetxt(path, rows, delimiter=",")
+        cfg = parse_config(
+            {
+                "model": {"kind": "linear-regression", "input_dim": 2},
+                "algo": {"kind": "fedavg", "eta": 0.1, "rounds": 2, "local_steps": 1, "batch_size": 8},
+                "data": {"source": "csv", "path": str(path), "input_dim": 2, "test_fraction": test_fraction, "seed": seed},
+                "run": {"clients": 2, "seed": 0},
+            }
+        )
+        with pytest.raises(NumericError, match=r"^round 1: evaluating the test split: non-finite"):
             train(cfg)
 
 
