@@ -210,11 +210,11 @@ def build_data(cfg: RunConfig) -> tuple[Dataset, Dataset, Partition]:
     elif d.source == "csv":
         if not d.path:
             raise ConfigError("csv source needs data.path")
-        full = load_csv(d.path, d.label_column, d.has_header)
+        full = _load(load_csv, {"data.path": d.path}, d.label_column, d.has_header)
     else:
         if not d.images_path or not d.labels_path:
             raise ConfigError("idx source needs data.images_path and data.labels_path")
-        full = load_idx(d.images_path, d.labels_path)
+        full = _load(load_idx, {"data.images_path": d.images_path, "data.labels_path": d.labels_path})
 
     if full.input_dim != cfg.model.input_dim:
         raise ConfigError(
@@ -237,3 +237,12 @@ def build_data(cfg: RunConfig) -> tuple[Dataset, Dataset, Partition]:
     train, test = train_test_split(full, d.test_fraction, seed)
     part = partition(train, cfg.clients, d.partition, seed, d.shards_per_client)
     return train, test, part
+
+
+def _load(loader, files: dict[str, str], *args) -> Dataset:
+    """``loader(*files.values(), *args)``; a file it cannot read is a ConfigError naming its config key."""
+    try:
+        return loader(*files.values(), *args)
+    except OSError as exc:
+        key = next((k for k, path in files.items() if path == exc.filename), next(iter(files)))
+        raise ConfigError(f"{key}: cannot read {exc.filename or files[key]}: {exc.strerror or exc}") from exc

@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from . import rng
-from .errors import ConfigError, IngestionError, ShapeError
+from .errors import ConfigError, IngestionError
 from .models import Batch
 
 IDX_IMAGES_MAGIC = 0x00000803
@@ -67,12 +67,6 @@ class Partition:
 
     def sizes(self) -> list[int]:
         return [len(a) for a in self.assignments]
-
-
-@dataclass(frozen=True)
-class BatchPlan:
-    batch_size: int
-    shuffle_seed: int
 
 
 def generate_synthetic(
@@ -191,21 +185,20 @@ def _check_partition(assignments: list[np.ndarray], total: int) -> None:
 
 def batches(
     datasets: Sequence[Dataset],
-    plan: BatchPlan,
+    batch_size: int,
+    shuffle_seed: int,
     client_ids: Sequence[int],
     round_num: int,
     epoch: int,
-    out: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> list[Batch]:
     """Seeded mini-batches for a group of clients with equal local sizes.
 
     Client p's rows are shuffled by (shuffle_seed, client_ids[p], round,
-    epoch) into row p of one (P, n, d) array, and batch b is its slice
+    epoch) into row p of one new (P, n, d) array, and batch b is its slice
     [:, b*batch_size : (b+1)*batch_size], so every batch is a stack
     (see ``Batch``) covering each client's data exactly once per epoch; the
-    last batch may be smaller.  The stack is new arrays, or the caller's
-    ``out`` = (inputs (P, n, d), labels (P, n)), every row of which the
-    shuffle overwrites; the batches are then views of ``out``.
+    last batch may be smaller.  Each call allocates its own stack, which is
+    freed once its batches are dropped.
     """
     sizes = {data.size for data in datasets}
     if len(sizes) != 1 or len(client_ids) != len(datasets):
@@ -213,33 +206,21 @@ def batches(
     n = sizes.pop()
     if n == 0:
         raise ConfigError("cannot batch an empty dataset")
-    if plan.batch_size < 1:
+    if batch_size < 1:
         raise ConfigError("batch_size must be positive")
     first = datasets[0]
-    if out is None:
-        out = shuffle_buffer(first, len(datasets))
-    inputs, labels = out
-    want = (len(datasets), *first.inputs.shape), (len(datasets), *first.labels.shape)
-    if (inputs.shape, labels.shape) != want:
-        raise ShapeError(f"shuffle buffer of shapes {inputs.shape}, {labels.shape} does not fit {want}")
+    inputs = np.empty((len(datasets), *first.inputs.shape), first.inputs.dtype)
+    labels = np.empty((len(datasets), *first.labels.shape), first.labels.dtype)
     for p, (data, client_id) in enumerate(zip(datasets, client_ids)):
-        order = rng.shuffle_stream(plan.shuffle_seed, client_id, round_num, epoch).permutation(n)
+        order = rng.shuffle_stream(shuffle_seed, client_id, round_num, epoch).permutation(n)
         # ``order`` is a permutation, so "clip" never clips; unlike the
         # default mode it lets take write into the stack without a temporary.
         np.take(data.inputs, order, axis=0, out=inputs[p], mode="clip")
         np.take(data.labels, order, axis=0, out=labels[p], mode="clip")
     return [
-        Batch(inputs[:, start : start + plan.batch_size], labels[:, start : start + plan.batch_size])
-        for start in range(0, n, plan.batch_size)
+        Batch(inputs[:, start : start + batch_size], labels[:, start : start + batch_size])
+        for start in range(0, n, batch_size)
     ]
-
-
-def shuffle_buffer(data: Dataset, clients: int) -> tuple[np.ndarray, np.ndarray]:
-    """Uninitialised (inputs, labels) stack for ``batches`` over ``clients`` datasets shaped like ``data``."""
-    return (
-        np.empty((clients, *data.inputs.shape), data.inputs.dtype),
-        np.empty((clients, *data.labels.shape), data.labels.dtype),
-    )
 
 
 def train_test_split(dataset: Dataset, test_fraction: float, seed: int) -> tuple[Dataset, Dataset]:

@@ -5,9 +5,10 @@ LOCAL_UPDATE / DONE state machine.  In-process, the carrier hands each group
 of workers with equal ``group_key`` to ``ClientWorker.handle_group``, which
 runs their local updates as one stacked computation per local step.  A lone
 worker is a group of one, so both carriers share one local-update path.
-Every update a client produces is a pure function of (config, seed, client
-id, round), whichever group it runs in, which is what makes runs
-carrier-invariant and repeatable.
+A worker carries only its (z, lambda) from round to round; each epoch's
+mini-batches are shuffled into new arrays.  Every update a client produces
+is a pure function of (config, seed, client id, round), whichever group it
+runs in, which is what makes runs carrier-invariant and repeatable.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 
 from . import algorithms, transport
 from .config import RunConfig, build_data, initial_model
-from .data import BatchPlan, Dataset, batches, shuffle_buffer
+from .data import Dataset, batches
 from .errors import ConfigError, FlcoreError, NumericError, ProtocolError, TransportError
 from .models import Batch, loss_and_grad
 from .privacy import NoiseSpec, noise_stream, perturb_output
@@ -35,12 +36,8 @@ class ClientWorker:
         self.config = config
         self.client_id = client_id
         self.local = local_data
-        self.plan = BatchPlan(batch_size=config.algo.batch_size, shuffle_seed=config.seed)
         self.z: np.ndarray | None = None
         self.lam: np.ndarray | None = None
-        # The (inputs, labels) stack that ``handle_group`` shuffles into when
-        # this worker leads its group, kept for the whole run.
-        self.shuffle: tuple[np.ndarray, np.ndarray] | None = None
 
     # -- handshake -----------------------------------------------------------
 
@@ -93,7 +90,8 @@ class ClientWorker:
         back.  One ``loss_and_grad`` call per local step serves every client;
         batches, noise and dual steps use each client's own streams and state,
         so each client's payloads, in worker order, are bitwise what it computes
-        alone.  Mini-batches are views of the first worker's shuffle buffer.
+        alone.  Each epoch's mini-batches are views of a new stacked copy of
+        the group's data, freed with the round.
         """
         for worker in workers:
             if worker.lam is None or worker.z is None:
@@ -107,12 +105,8 @@ class ClientWorker:
         def grad(z: np.ndarray, batch: Batch) -> np.ndarray:
             return loss_and_grad(spec, z, batch)[1]
 
-        lead = workers[0]
-
         def epoch_batches(epoch: int) -> list[Batch]:
-            if lead.shuffle is None or lead.shuffle[0].shape[0] != len(workers):
-                lead.shuffle = shuffle_buffer(lead.local, len(workers))
-            return batches([w.local for w in workers], lead.plan, client_ids, round_num, epoch, lead.shuffle)
+            return batches([w.local for w in workers], algo.batch_size, config.seed, client_ids, round_num, epoch)
 
         def full_batch() -> Batch:
             return Batch(_stack([w.local.inputs for w in workers]), _stack([w.local.labels for w in workers]))
@@ -160,10 +154,10 @@ def run_client(addr: str, client_id: int, config: RunConfig, timeout_s: float | 
     channel = transport.TcpClientChannel(addr, client_id, timeout_s or config.timeout_s)
     try:
         settings = channel.join()
-        worker = build_worker(config, client_id)
         try:
+            worker = build_worker(config, client_id)
             worker.handle_join_ack(settings)
-        except ConfigError as exc:
+        except FlcoreError as exc:  # the server reports it as a refusal at JOIN
             channel.send_error(0, str(exc))
             raise
         while True:

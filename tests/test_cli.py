@@ -1,5 +1,6 @@
 import json
 import socket
+import struct
 import threading
 import time
 
@@ -56,6 +57,20 @@ class TestSimulate:
         bad.write_text(json.dumps({"algo": {"rounds": "ten"}}))
         assert main(["simulate", "--config", str(bad)]) == 2
         assert "algo.rounds" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["data.path", "data.images_path", "data.labels_path"])
+    def test_missing_data_file_exits_2_naming_its_key(self, tmp_path, capsys, key):
+        images, labels = tmp_path / "images.idx", tmp_path / "labels.idx"
+        images.write_bytes(struct.pack(">IIII", 0x803, 4, 1, 2) + bytes(range(8)))
+        labels.write_bytes(struct.pack(">II", 0x801, 4) + bytes([0, 1, 0, 1]))
+        missing = tmp_path / "missing"
+        data = {"source": "csv" if key == "data.path" else "idx", "input_dim": 2,
+                "images_path": str(images), "labels_path": str(labels), key.split(".")[1]: str(missing)}
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({"model": {"kind": "softmax", "input_dim": 2, "output_dim": 2}, "data": data}))
+        assert main(["simulate", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert f"config error: {key}: " in err and str(missing) in err
 
     def test_parallel_flag_does_not_change_output(self, config_path, tmp_path):
         a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"

@@ -11,17 +11,15 @@ from flcore.config import build_data, parse_config
 from flcore.data import (
     MOVE_CHUNK_BYTES,
     PARTITION_SCHEMES,
-    BatchPlan,
     Dataset,
     batches,
     generate_synthetic,
     load_csv,
     load_idx,
     partition,
-    shuffle_buffer,
     train_test_split,
 )
-from flcore.errors import ConfigError, IngestionError, ShapeError
+from flcore.errors import ConfigError, IngestionError
 from flcore.models import Batch, ModelSpec, loss_and_grad, param_count, predict
 
 
@@ -113,63 +111,46 @@ class TestBatches:
         return generate_synthetic("blobs", 40, 2, classes=2, noise=0.3, seed=5)
 
     def test_sizes_with_remainder(self, dataset):
-        plan = BatchPlan(batch_size=2, shuffle_seed=0)
-        got = batches([dataset.subset(np.arange(5))], plan, client_ids=[0], round_num=1, epoch=1)
+        got = batches([dataset.subset(np.arange(5))], batch_size=2, shuffle_seed=0, client_ids=[0], round_num=1, epoch=1)
         assert [b.n for b in got] == [2, 2, 1]
 
     def test_full_batch_when_batch_size_covers(self, dataset):
-        plan = BatchPlan(batch_size=64, shuffle_seed=0)
-        got = batches([dataset], plan, client_ids=[0], round_num=1, epoch=1)
+        got = batches([dataset], batch_size=64, shuffle_seed=0, client_ids=[0], round_num=1, epoch=1)
         assert len(got) == 1 and got[0].n == 40
 
     def test_same_key_same_order(self, dataset):
-        plan = BatchPlan(batch_size=8, shuffle_seed=3)
-        a = batches([dataset], plan, [2], 7, 1)
-        b = batches([dataset], plan, [2], 7, 1)
+        a = batches([dataset], 8, 3, [2], 7, 1)
+        b = batches([dataset], 8, 3, [2], 7, 1)
         for x, y in zip(a, b):
             assert np.array_equal(x.inputs, y.inputs)
-        c = batches([dataset], plan, [2], 7, 2)
+        c = batches([dataset], 8, 3, [2], 7, 2)
         assert not all(np.array_equal(x.inputs, y.inputs) for x, y in zip(a, c))
 
     def test_group_rows_are_each_clients_own_batches(self, dataset):
-        plan = BatchPlan(batch_size=6, shuffle_seed=4)
         parts = [dataset.subset(np.arange(0, 40, 2)), dataset.subset(np.arange(1, 40, 2))]
-        group = batches(parts, plan, [3, 5], 2, 1)
+        group = batches(parts, 6, 4, [3, 5], 2, 1)
         assert [b.inputs.shape for b in group] == [(2, 6, 2)] * 3 + [(2, 2, 2)]
         for p, (part, client_id) in enumerate(zip(parts, [3, 5])):
-            alone = batches([part], plan, [client_id], 2, 1)
+            alone = batches([part], 6, 4, [client_id], 2, 1)
             for g, a in zip(group, alone):
                 assert np.array_equal(g.inputs[p], a.inputs[0]) and np.array_equal(g.labels[p], a.labels[0])
 
     def test_without_buffer_batches_are_new_arrays(self, dataset):
-        plan = BatchPlan(batch_size=8, shuffle_seed=3)
-        a, b = batches([dataset], plan, [2], 7, 1), batches([dataset], plan, [2], 7, 1)
+        a, b = batches([dataset], 8, 3, [2], 7, 1), batches([dataset], 8, 3, [2], 7, 1)
         for x, y in zip(a, b):
             assert not np.shares_memory(x.inputs, y.inputs) and not np.shares_memory(x.labels, y.labels)
             assert not np.shares_memory(x.inputs, dataset.inputs)
 
-    def test_buffer_is_overwritten_in_place(self, dataset):
-        plan = BatchPlan(batch_size=8, shuffle_seed=3)
-        out = shuffle_buffer(dataset, 1)
-        out[0].fill(np.nan)
-        out[1].fill(-1)
-        got, ref = batches([dataset], plan, [2], 7, 1, out), batches([dataset], plan, [2], 7, 1)
-        for g, r in zip(got, ref):
-            assert np.shares_memory(g.inputs, out[0]) and np.shares_memory(g.labels, out[1])
-            assert np.array_equal(g.inputs, r.inputs) and np.array_equal(g.labels, r.labels)
-        with pytest.raises(ShapeError):
-            batches([dataset], plan, [2], 7, 1, shuffle_buffer(dataset, 2))
-
     def test_group_needs_equal_sizes(self, dataset):
         with pytest.raises(ConfigError):
-            batches([dataset.subset(np.arange(5)), dataset.subset(np.arange(6))], BatchPlan(2, 0), [0, 1], 1, 1)
+            batches([dataset.subset(np.arange(5)), dataset.subset(np.arange(6))], 2, 0, [0, 1], 1, 1)
 
     @settings(max_examples=30, deadline=None)
     @given(n=st.integers(1, 50), batch_size=st.integers(1, 16), seed=st.integers(0, 99))
     def test_epoch_covers_indices_exactly_once(self, n, batch_size, seed):
         ds = Dataset(np.arange(60, dtype=float).reshape(60, 1), np.zeros(60))
         idx = np.arange(n)
-        got = batches([ds.subset(idx)], BatchPlan(batch_size, seed), [0], 1, 1)
+        got = batches([ds.subset(idx)], batch_size, seed, [0], 1, 1)
         seen = np.sort(np.concatenate([b.inputs[0, :, 0] for b in got]))
         assert np.array_equal(seen, np.arange(n, dtype=float))
 

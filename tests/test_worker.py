@@ -1,4 +1,5 @@
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -135,6 +136,20 @@ class TestTcpJoin:
         lines, errors = tcp_run(cfg, [with_changes(cfg, local), cfg])
         assert errors == {}
         assert lines == [metrics_line(m) for m in train(cfg).metrics]
+
+    def test_client_that_cannot_load_its_data_refuses_at_join(self, tmp_path):
+        table = tmp_path / "blobs.csv"
+        inputs = stream("test-tcp-join", "csv").normal(size=(40, 2))
+        np.savetxt(table, np.column_stack([inputs, np.arange(40) % 3]), delimiter=",")
+        cfg = with_changes(config(), {("data", "source"): "csv", ("data", "path"): str(table)})
+        missing = tmp_path / "missing.csv"
+        begin = time.monotonic()
+        lines, errors = tcp_run(cfg, [cfg, with_changes(cfg, {("data", "path"): str(missing)})])
+        assert time.monotonic() - begin < 10.0  # the handshake timeout
+        assert lines == [] and isinstance(errors[1], ConfigError)
+        message = str(errors["server"])
+        assert isinstance(errors["server"], TransportError)
+        assert "client 1 refused the session at JOIN: data.path: " in message and str(missing) in message
 
 
 class TestPayloadShapes:
@@ -285,7 +300,7 @@ class TestGroups:
             assert len(groups) > 1 and any(len(g) > 1 for g in groups)
         assert param_count(cfg.model) % 2 == 1
         gen = stream("test-groups", model, algo)
-        for round_num in (1, 2):
+        for round_num in (1, 2, 3):
             w = gen.normal(size=param_count(cfg.model))
             together = run_groups(grouped, round_num, w)
             for worker in alone:
@@ -314,29 +329,3 @@ class TestGroups:
         message = str(in_group.value)
         assert message == str(by_itself.value)
         assert message.startswith("client 2, round 1: ") and "local epoch 1, batch" in message
-
-
-class TestShuffleBuffer:
-    @pytest.mark.parametrize("alone", [False, True], ids=["group", "alone"])
-    @pytest.mark.parametrize("algo", ["fedavg", "iiadmm"])
-    def test_reused_buffer_equals_fresh_worker_each_round(self, algo, alone):
-        # The four clients form one group in-process; alone, each is a group of one, as over TCP.
-        cfg = group_config("mlp1", algo, 1.0, "equal")
-        kept = joined_workers(cfg)
-        gen = stream("test-shuffle-buffer", algo)
-        buffers = []
-        for round_num in (1, 2, 3):
-            w = gen.normal(size=param_count(cfg.model))
-            fresh = joined_workers(cfg)
-            for f, k in zip(fresh, kept):
-                f.lam = k.lam.copy()
-            if alone:
-                reused = {k.client_id: k.handle_global(round_num, w) for k in kept}
-                new = {f.client_id: f.handle_global(round_num, w) for f in fresh}
-            else:
-                reused, new = run_groups(kept, round_num, w), run_groups(fresh, round_num, w)
-            for cid in range(cfg.clients):
-                assert all(np.array_equal(a, b) for a, b in zip(reused[cid], new[cid])), f"round {round_num}, client {cid}"
-                assert np.array_equal(kept[cid].lam, fresh[cid].lam)
-            buffers.append(kept[0].shuffle)
-        assert all(b is buffers[0] for b in buffers)
