@@ -53,7 +53,7 @@ EpochBatches = Callable[[int], Sequence[object]]
 
 @dataclass(frozen=True)
 class AlgoConfig:
-    kind: str
+    kind: str = "fedavg"
     rho: float = 1.0
     zeta: float = 0.0
     eta: float = 0.1
@@ -108,7 +108,7 @@ def noise_spec(algo: AlgoConfig, privacy: PrivacyConfig, round_num: int) -> Nois
     """
     if not privacy.enabled:
         return NoiseSpec(delta_bar=0.0, scale_b=0.0)
-    delta = ALGORITHMS[algo.kind].sensitivity(algo, privacy.clip_c, algo.rho_at(round_num))
+    delta = ALGORITHMS[algo.kind].sensitivity(algo, privacy.clip, algo.rho_at(round_num))
     return NoiseSpec(delta_bar=delta, scale_b=delta / privacy.epsilon_bar if privacy.is_private else 0.0)
 
 

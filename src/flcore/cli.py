@@ -50,6 +50,13 @@ def _parse_bool(value: str) -> bool:
     raise argparse.ArgumentTypeError(f"expected true/false, got {value!r}")
 
 
+def _positive_int(value: str) -> int:
+    number = int(value)
+    if number < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return number
+
+
 def _load(args) -> RunConfig:
     cfg = load_config(args.config)
     if getattr(args, "seed", None) is not None:
@@ -184,8 +191,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input-dim", type=int, default=4)
     p.add_argument("--output-dim", type=int, default=3)
     p.add_argument("--hidden-dim", type=int, default=5)
-    p.add_argument("--batch", type=int, default=8)
-    p.add_argument("--samples", type=int, default=20)
+    p.add_argument("--batch", type=_positive_int, default=8)
+    p.add_argument("--samples", type=_positive_int, default=20)
     p.add_argument("--tol", type=float, default=1e-4)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_gradcheck)

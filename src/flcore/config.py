@@ -19,8 +19,8 @@ import numpy as np
 
 from . import rng
 from .algorithms import AlgoConfig
-from .data import Dataset, Partition, generate_synthetic, load_csv, load_idx, partition, train_test_split
-from .errors import ConfigError
+from .data import Dataset, generate_synthetic, load_csv, load_idx, partition, train_test_split
+from .errors import ConfigError, IngestionError
 from .models import ModelSpec, init_params
 from .privacy import PrivacyConfig
 
@@ -75,13 +75,6 @@ class RunConfig:
         return self.seed if self.data.seed is None else self.data.seed
 
 
-# (section, field name) -> JSON key where the two differ.
-_ALIASES = {("privacy", "clip_c"): "clip"}
-# File defaults for keys whose dataclass field has no default, or another one.
-_FILE_DEFAULTS = {
-    "model": {"kind": "softmax", "input_dim": 2, "output_dim": 2},
-    "algo": {"kind": "fedavg"},
-}
 # The only keys that may be infinite, echoed as "inf" rather than JSON's nonstandard Infinity.
 _INF_KEYS = {"algo.rho_max", "privacy.epsilon_bar"}
 # Keys that belong to one host: where it writes and reads, how long it waits, how
@@ -93,13 +86,11 @@ LOCAL_KEYS = {
 _SECTIONS = {"model": ModelSpec, "algo": AlgoConfig, "privacy": PrivacyConfig, "data": DataConfig, "run": RunConfig}
 
 
-def _section_fields(name: str) -> list[tuple[str, str, type]]:
-    """(JSON key, field name, field type) for each key of one config section."""
+def _section_fields(name: str) -> list[tuple[str, type]]:
+    """(key, type) for each field of one config section."""
     cls = _SECTIONS[name]
     hints = typing.get_type_hints(cls)
-    return [
-        (_ALIASES.get((name, f.name), f.name), f.name, hints[f.name]) for f in fields(cls) if f.name not in _SECTIONS
-    ]
+    return [(f.name, hints[f.name]) for f in fields(cls) if f.name not in _SECTIONS]
 
 
 _FIELDS = {name: _section_fields(name) for name in _SECTIONS}
@@ -135,11 +126,10 @@ def _parse_section(obj: dict, name: str) -> dict:
     section = obj.get(name, {})
     if not isinstance(section, dict):
         raise ConfigError(f"[{name}] must be a JSON object, got {section!r}")
-    unknown = set(section) - {key for key, _, _ in _FIELDS[name]}
+    unknown = set(section) - {key for key, _ in _FIELDS[name]}
     if unknown:
         raise ConfigError(f"unknown keys in [{name}]: {sorted(unknown)}")
-    values = {**_FILE_DEFAULTS.get(name, {}), **section}
-    return {attr: _coerce(values[key], hint, f"{name}.{key}") for key, attr, hint in _FIELDS[name] if key in values}
+    return {key: _coerce(section[key], hint, f"{name}.{key}") for key, hint in _FIELDS[name] if key in section}
 
 
 def parse_config(obj: dict) -> RunConfig:
@@ -172,8 +162,8 @@ def config_to_dict(cfg: RunConfig) -> dict:
     for name, section_fields in _FIELDS.items():
         obj = cfg if name == "run" else getattr(cfg, name)
         out[name] = {}
-        for key, attr, _ in section_fields:
-            value = getattr(obj, attr)
+        for key, _ in section_fields:
+            value = getattr(obj, key)
             out[name][key] = "inf" if f"{name}.{key}" in _INF_KEYS and math.isinf(value) else value
     return out
 
@@ -193,8 +183,8 @@ def initial_model(cfg: RunConfig) -> np.ndarray:
     return init_params(cfg.model, rng.stream("init", cfg.seed))
 
 
-def build_data(cfg: RunConfig) -> tuple[Dataset, Dataset, Partition]:
-    """Materialize (train, test, partition) for a config.
+def build_data(cfg: RunConfig) -> tuple[Dataset, Dataset, list[np.ndarray]]:
+    """Materialize (train, test, each client's train row indices) for a config.
 
     Pure function of the config, so server and remote clients independently
     agree on every sample assignment.  ``train`` and ``test`` are views of the
@@ -235,14 +225,19 @@ def build_data(cfg: RunConfig) -> tuple[Dataset, Dataset, Partition]:
                 raise ConfigError(f"{d.path}: {name} must be finite, got {values[~finite][0]}")
 
     train, test = train_test_split(full, d.test_fraction, seed)
-    part = partition(train, cfg.clients, d.partition, seed, d.shards_per_client)
-    return train, test, part
+    return train, test, partition(train, cfg.clients, d.partition, seed, d.shards_per_client)
 
 
 def _load(loader, files: dict[str, str], *args) -> Dataset:
-    """``loader(*files.values(), *args)``; a file it cannot read is a ConfigError naming its config key."""
+    """``loader(*files.values(), *args)``; a file it cannot read or parse is a ConfigError naming its config key.
+
+    A parse error keeps the loader's message, which names the file and the line or byte offset.
+    """
     try:
         return loader(*files.values(), *args)
     except OSError as exc:
         key = next((k for k, path in files.items() if path == exc.filename), next(iter(files)))
         raise ConfigError(f"{key}: cannot read {exc.filename or files[key]}: {exc.strerror or exc}") from exc
+    except IngestionError as exc:
+        key = next((k for k, path in files.items() if str(exc).startswith(f"{path}:")), next(iter(files)))
+        raise ConfigError(f"{key}: {exc}") from exc

@@ -59,16 +59,6 @@ class Dataset:
         return Dataset(self.inputs[indices], self.labels[indices])
 
 
-@dataclass(frozen=True)
-class Partition:
-    """Disjoint per-client index sets into a dataset."""
-
-    assignments: list[np.ndarray]
-
-    def sizes(self) -> list[int]:
-        return [len(a) for a in self.assignments]
-
-
 def generate_synthetic(
     kind: str,
     n: int,
@@ -131,8 +121,8 @@ def partition(
     scheme: str = "equal",
     seed: int = 0,
     shards_per_client: int = 2,
-) -> Partition:
-    """Split sample indices across clients.
+) -> list[np.ndarray]:
+    """Split sample indices across clients: one sorted index array per client.
 
     ``equal``: contiguous blocks, remainder spread over the first clients.
     ``iid-shuffle``: the same block sizes after a seeded permutation.
@@ -170,7 +160,7 @@ def partition(
         assignments = [np.sort(order[bounds[p] : bounds[p + 1]]) for p in range(num_clients)]
 
     _check_partition(assignments, total)
-    return Partition(assignments)
+    return assignments
 
 
 def _check_partition(assignments: list[np.ndarray], total: int) -> None:

@@ -27,9 +27,9 @@ MODEL_KINDS = ("linear-regression", "softmax", "mlp1")
 
 @dataclass(frozen=True)
 class ModelSpec:
-    kind: str
-    input_dim: int
-    output_dim: int = 1
+    kind: str = "softmax"
+    input_dim: int = 2
+    output_dim: int = 2  # linear-regression has one output whatever this says
     hidden_dim: int = 0
 
     def validate(self) -> None:

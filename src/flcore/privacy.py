@@ -23,13 +23,13 @@ from .rng import noise_stream  # noqa: F401  (callers import the noise stream fr
 class PrivacyConfig:
     enabled: bool = False
     epsilon_bar: float = math.inf
-    clip_c: float = 1.0
+    clip: float = 1.0
 
     def validate(self) -> None:
         if not self.epsilon_bar > 0:
             raise ConfigError(f"epsilon_bar must be positive, got {self.epsilon_bar}")
-        if self.enabled and not self.clip_c > 0:
-            raise ConfigError(f"clip_c must be positive, got {self.clip_c}")
+        if self.enabled and not self.clip > 0:
+            raise ConfigError(f"clip must be positive, got {self.clip}")
 
     @property
     def is_private(self) -> bool:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import logging
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -25,10 +25,28 @@ from .models import Batch, ModelSpec, loss_and_outputs, param_count
 # Unused here, but flbench/tracing.py patches these names in this module (ROADMAP item 3).
 from .models import loss_and_grad, predict  # noqa: F401
 from .privacy import dp_budget_report
-from .transport import HEADER_SIZE, InProcessCarrier, RoundMetrics, decode_vectors
+from .transport import HEADER_SIZE, InProcessCarrier, decode_vectors
 from .worker import ClientWorker
 
 log = logging.getLogger("flcore.runner")
+
+# Part of the metrics schema, but written as 0.0: wall clock is not a function
+# of (config, seed) and would break the byte-reproducibility of the file.
+_TIMING_KEYS = {"t_local_ms": 0.0, "t_comm_ms": 0.0, "t_global_ms": 0.0}
+
+
+@dataclass
+class RoundMetrics:
+    """One round's record; its fields, in order, are the keys of a metrics line."""
+
+    round: int
+    train_loss: float = 0.0
+    test_acc: float | None = None
+    consensus_residual: float = 0.0
+    bytes_up: int = 0
+    bytes_down: int = 0
+    payload_bytes_up: int = 0
+
 
 @dataclass
 class RunRecord:
@@ -38,25 +56,8 @@ class RunRecord:
 
 
 def metrics_line(m: RoundMetrics) -> str:
-    """One JSON metrics line.
-
-    Timing keys are part of the schema but are written as 0.0: wall clock is
-    not a function of (config, seed) and would break the byte-reproducibility
-    of the file.
-    """
-    obj = {
-        "round": m.round_num,
-        "train_loss": m.train_loss,
-        "test_acc": m.test_accuracy,
-        "consensus_residual": m.consensus_residual,
-        "bytes_up": m.bytes_up,
-        "bytes_down": m.bytes_down,
-        "payload_bytes_up": m.payload_bytes_up,
-        "t_local_ms": 0.0,
-        "t_comm_ms": 0.0,
-        "t_global_ms": 0.0,
-    }
-    return json.dumps(obj)
+    """One JSON metrics line: the fields of ``m``, then the zero timing keys."""
+    return json.dumps({**asdict(m), **_TIMING_KEYS})
 
 
 def validate(spec: ModelSpec, params: np.ndarray, test_data: Dataset) -> tuple[float, float | None]:
@@ -94,8 +95,8 @@ def train(
     try:
         config.validate()
         m = param_count(config.model)
-        train_data, test_data, part = build_data(config)
-        views = [train_data.subset(idx) for idx in part.assignments]
+        train_data, test_data, shards = build_data(config)
+        views = [train_data.subset(idx) for idx in shards]
         weights = [view.size / train_data.size for view in views]
 
         w = initial_model(config)
@@ -178,9 +179,9 @@ def _run_round(config, carrier, t, w, duals, weights, views, test_data):
 
     payload_up = sum(len(env.payload) for env in envelopes)
     metrics = RoundMetrics(
-        round_num=t,
+        round=t,
         train_loss=train_loss,
-        test_accuracy=test_acc,
+        test_acc=test_acc,
         consensus_residual=residual,
         bytes_up=payload_up + HEADER_SIZE * len(envelopes),
         bytes_down=bytes_down,
@@ -200,8 +201,8 @@ def _evaluate(what: str, spec: ModelSpec, params: np.ndarray, data: Dataset) -> 
 def final_accuracy(record: RunRecord) -> float:
     """Last evaluated test accuracy of a run."""
     for m in reversed(record.metrics):
-        if m.test_accuracy is not None:
-            return m.test_accuracy
+        if m.test_acc is not None:
+            return m.test_acc
     raise ConfigError("run produced no test accuracy (regression model or empty test set)")
 
 

@@ -70,17 +70,6 @@ class Envelope:
     payload: bytes = b""
 
 
-@dataclass
-class RoundMetrics:
-    round_num: int
-    train_loss: float = 0.0
-    test_accuracy: float | None = None
-    consensus_residual: float = 0.0
-    bytes_up: int = 0
-    bytes_down: int = 0
-    payload_bytes_up: int = 0
-
-
 # --- codec ----------------------------------------------------------------
 
 

@@ -29,8 +29,7 @@ log = logging.getLogger("flcore.worker")
 
 class ClientWorker:
     def __init__(self, config: RunConfig, client_id: int, local_data: Dataset):
-        if not 0 <= client_id < config.clients:
-            raise ConfigError(f"client id {client_id} out of range for {config.clients} clients")
+        _check_client_id(config, client_id)
         if local_data.size < 1:
             raise ConfigError(f"client {client_id} has no local data")
         self.config = config
@@ -100,7 +99,7 @@ class ClientWorker:
         config = workers[0].config
         algo, spec = config.algo, config.model
         noise = algorithms.noise_spec(algo, config.privacy, round_num)
-        clip = config.privacy.clip_c if config.privacy.enabled else None
+        clip = config.privacy.clip if config.privacy.enabled else None
 
         def grad(z: np.ndarray, batch: Batch) -> np.ndarray:
             return loss_and_grad(spec, z, batch)[1]
@@ -116,11 +115,16 @@ class ClientWorker:
                 algo, algo.rho_at(round_num), models, _stack([w.z for w in workers]), _stack([w.lam for w in workers]),
                 epoch_batches, full_batch, grad, clip, lambda p, v: workers[p]._perturb(v, round_num, noise),
             )
-        except NumericError as exc:
-            raise NumericError(f"client {client_ids[exc.row]}, round {round_num}: {exc}") from exc
+        except NumericError as exc:  # the caller names the round
+            raise NumericError(f"client {client_ids[exc.row]}: {exc}") from exc
         for p, worker in enumerate(workers):
             worker.z, worker.lam = z[p], lam[p]
         return payloads
+
+
+def _check_client_id(config: RunConfig, client_id: int) -> None:
+    if not 0 <= client_id < config.clients:
+        raise ConfigError(f"client id {client_id} out of range for {config.clients} clients")
 
 
 def _stack(arrays: list[np.ndarray]) -> np.ndarray:
@@ -130,27 +134,24 @@ def _stack(arrays: list[np.ndarray]) -> np.ndarray:
 
 def build_workers(config: RunConfig) -> list[ClientWorker]:
     """All P workers for an in-process run, sharing one materialized dataset."""
-    train, _, part = build_data(config)
-    return [
-        ClientWorker(config, cid, train.subset(part.assignments[cid]))
-        for cid in range(config.clients)
-    ]
+    train, _, shards = build_data(config)
+    return [ClientWorker(config, cid, train.subset(shards[cid])) for cid in range(config.clients)]
 
 
 def build_worker(config: RunConfig, client_id: int) -> ClientWorker:
-    """One worker for a remote client; re-derives the shared partition."""
-    train, _, part = build_data(config)
-    if client_id >= len(part.assignments):
-        raise ConfigError(f"client id {client_id} out of range for {config.clients} clients")
-    mine = train.subset(part.assignments[client_id])
-    if np.shares_memory(mine.inputs, train.inputs):
-        # A view would keep every client's rows alive in this process.
-        mine = Dataset(mine.inputs.copy(), mine.labels.copy())
-    return ClientWorker(config, client_id, mine)
+    """One worker for a remote client; re-derives the shared partition.
+
+    The client's rows are copied out, so the rest of the dataset is freed on return.
+    """
+    _check_client_id(config, client_id)
+    train, _, shards = build_data(config)
+    rows = shards[client_id]
+    return ClientWorker(config, client_id, Dataset(train.inputs[rows], train.labels[rows]))
 
 
 def run_client(addr: str, client_id: int, config: RunConfig, timeout_s: float | None = None) -> None:
     """TCP client main loop: join, answer every round, stop on DONE."""
+    _check_client_id(config, client_id)
     channel = transport.TcpClientChannel(addr, client_id, timeout_s or config.timeout_s)
     try:
         settings = channel.join()
@@ -175,8 +176,9 @@ def run_client(addr: str, client_id: int, config: RunConfig, timeout_s: float | 
             try:
                 arrays = worker.handle_global(env.round_num, vectors[0])
             except FlcoreError as exc:
-                channel.send_error(env.round_num, str(exc))
-                raise
+                # The server's report names this client and the round itself.
+                channel.send_error(env.round_num, str(exc).removeprefix(f"client {client_id}: "))
+                raise type(exc)(f"round {env.round_num}: {exc}") from exc
             channel.send_update(env.round_num, arrays)
     finally:
         channel.close()

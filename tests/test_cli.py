@@ -63,14 +63,23 @@ class TestSimulate:
         images, labels = tmp_path / "images.idx", tmp_path / "labels.idx"
         images.write_bytes(struct.pack(">IIII", 0x803, 4, 1, 2) + bytes(range(8)))
         labels.write_bytes(struct.pack(">II", 0x801, 4) + bytes([0, 1, 0, 1]))
-        missing = tmp_path / "missing"
-        data = {"source": "csv" if key == "data.path" else "idx", "input_dim": 2,
-                "images_path": str(images), "labels_path": str(labels), key.split(".")[1]: str(missing)}
-        path = tmp_path / "run.json"
-        path.write_text(json.dumps({"model": {"kind": "softmax", "input_dim": 2, "output_dim": 2}, "data": data}))
-        assert main(["simulate", "--config", str(path)]) == 2
-        err = capsys.readouterr().err
-        assert f"config error: {key}: " in err and str(missing) in err
+        # A malformed file exits 2 like a missing one, and keeps the loader's line or byte offset.
+        malformed = tmp_path / "malformed"
+        if key == "data.path":
+            malformed.write_text("1,2,0\n1,x,1\n")
+            where = f"{malformed}:2: non-numeric field"
+        else:
+            whole = (images if key == "data.images_path" else labels).read_bytes()
+            malformed.write_bytes(whole[:-3])
+            where = f"{malformed}: truncated at byte {len(whole) - 3}"
+        for bad, expected in ((tmp_path / "missing", str(tmp_path / "missing")), (malformed, where)):
+            data = {"source": "csv" if key == "data.path" else "idx", "input_dim": 2,
+                    "images_path": str(images), "labels_path": str(labels), key.split(".")[1]: str(bad)}
+            path = tmp_path / "run.json"
+            path.write_text(json.dumps({"model": {"kind": "softmax", "input_dim": 2, "output_dim": 2}, "data": data}))
+            assert main(["simulate", "--config", str(path)]) == 2
+            err = capsys.readouterr().err
+            assert f"config error: {key}: " in err and expected in err
 
     def test_parallel_flag_does_not_change_output(self, config_path, tmp_path):
         a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
@@ -170,6 +179,18 @@ class TestServeClient:
         assert results == {0: 0, 1: 0}
         assert tcp_out.read_bytes() == sim_out.read_bytes()
 
+    @pytest.mark.parametrize("client_id", ["-1", "2"])
+    def test_client_id_out_of_range_exits_2_before_connecting(self, config_path, tmp_path, capsys, client_id):
+        # No server listens on the port: a client that tried to connect would retry for run.timeout_s.
+        cfg = json.loads(open(config_path).read())
+        cfg["run"]["timeout_s"] = 10.0
+        path = tmp_path / "timeout.json"
+        path.write_text(json.dumps(cfg))
+        start = time.monotonic()
+        assert main(["client", "--connect", f"127.0.0.1:{free_port()}", "--client-id", client_id, "--config", str(path)]) == 2
+        assert time.monotonic() - start < 5.0
+        assert f"config error: client id {client_id} out of range for 2 clients" in capsys.readouterr().err
+
     def test_client_with_out_of_range_id_exits_nonzero(self, config_path, tmp_path):
         port = free_port()
         results = {}
@@ -180,7 +201,7 @@ class TestServeClient:
         server_thread = threading.Thread(target=serve)
         server_thread.start()
 
-        assert main(["client", "--connect", f"127.0.0.1:{port}", "--client-id", "5", "--config", config_path]) == 1
+        assert main(["client", "--connect", f"127.0.0.1:{port}", "--client-id", "5", "--config", config_path]) == 2
 
         client_threads = [
             threading.Thread(
@@ -218,6 +239,13 @@ class TestGradcheck:
         for model in ("linear-regression", "softmax", "mlp1"):
             assert main(["gradcheck", "--model", model, "--samples", "5"]) == 0
             assert "PASS" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("flag,value", [("--batch", "-2"), ("--batch", "0"), ("--samples", "0"), ("--samples", "-3")])
+    def test_non_positive_count_is_a_usage_error(self, capsys, flag, value):
+        with pytest.raises(SystemExit) as exc:
+            main(["gradcheck", "--model", "softmax", flag, value])
+        assert exc.value.code == 2
+        assert f"{flag}: must be a positive integer, got {value}" in capsys.readouterr().err
 
 
 class TestUsage:

@@ -1,6 +1,7 @@
 import json
 import math
 import re
+from pathlib import Path
 
 import pytest
 
@@ -211,9 +212,9 @@ class TestBuildData:
         assert main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "m.jsonl")]) == 2
 
     def test_split_and_partition_shapes(self):
-        train, test, part = build_data(parse_config(minimal()))
+        train, test, shards = build_data(parse_config(minimal()))
         assert train.size == 32 and test.size == 8
-        assert part.sizes() == [16, 16]
+        assert [len(idx) for idx in shards] == [16, 16]
 
     def test_loaded_config_runs(self, tmp_path):
         p = tmp_path / "cfg.json"
@@ -221,3 +222,22 @@ class TestBuildData:
         cfg = load_config(str(p))
         train, test, part = build_data(cfg)
         assert train.size + test.size == 40
+
+
+class TestReadme:
+    """README's "Config file" section must keep up with the dataclasses it describes."""
+
+    @staticmethod
+    def example() -> dict:
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme.split("## Config file", 1)[1]
+        return json.loads(section.split("```json", 1)[1].split("```", 1)[0])
+
+    def test_example_config_parses(self):
+        parse_config(self.example())
+
+    def test_example_names_every_key(self):
+        example = self.example()
+        named = {f"{name}.{key}" for name, section in example.items() for key in section}
+        every = {f"{name}.{key}" for name, section in config_to_dict(parse_config({})).items() for key in section}
+        assert named == every

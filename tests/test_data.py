@@ -67,17 +67,17 @@ class TestSynthetic:
 class TestPartition:
     def test_equal_split_even(self):
         ds = generate_synthetic("blobs", 8, 2, classes=2, seed=0)
-        assert partition(ds, 4, "equal").sizes() == [2, 2, 2, 2]
+        assert [len(idx) for idx in partition(ds, 4, "equal")] == [2, 2, 2, 2]
 
     def test_equal_split_remainder_to_first_clients(self):
         ds = generate_synthetic("blobs", 10, 2, classes=2, seed=0)
-        assert partition(ds, 4, "equal").sizes() == [3, 3, 2, 2]
+        assert [len(idx) for idx in partition(ds, 4, "equal")] == [3, 3, 2, 2]
 
     def test_disjoint_and_covering(self):
         ds = generate_synthetic("blobs", 37, 2, classes=2, seed=1)
         for scheme in ("equal", "iid-shuffle"):
-            part = partition(ds, 5, scheme, seed=9)
-            merged = np.sort(np.concatenate(part.assignments))
+            shards = partition(ds, 5, scheme, seed=9)
+            merged = np.sort(np.concatenate(shards))
             assert np.array_equal(merged, np.arange(37))
 
     def test_label_shards_skew(self):
@@ -86,18 +86,18 @@ class TestPartition:
         inputs = np.zeros((20, 2))
         labels = np.array([0] * 10 + [1] * 10, dtype=np.int64)
         ds = Dataset(inputs, labels)
-        part = partition(ds, 2, "label-shards", seed=4, shards_per_client=2)
-        for idx in part.assignments:
+        shards = partition(ds, 2, "label-shards", seed=4, shards_per_client=2)
+        for idx in shards:
             assert len(np.unique(labels[idx])) <= 2
             assert len(idx) == 10
-        merged = np.sort(np.concatenate(part.assignments))
+        merged = np.sort(np.concatenate(shards))
         assert np.array_equal(merged, np.arange(20))
 
     def test_label_shards_is_seeded(self):
         ds = generate_synthetic("blobs", 40, 2, classes=4, noise=0.1, seed=2)
         a = partition(ds, 4, "label-shards", seed=1)
         b = partition(ds, 4, "label-shards", seed=1)
-        assert all(np.array_equal(x, y) for x, y in zip(a.assignments, b.assignments))
+        assert all(np.array_equal(x, y) for x, y in zip(a, b))
 
     def test_too_many_clients(self):
         ds = generate_synthetic("blobs", 4, 2, classes=2, seed=0)
@@ -191,8 +191,8 @@ def fancy_index_build(cfg):
         train_idx, test_idx = np.sort(order[n_test:]), np.sort(order[:n_test])
     train = Dataset(full.inputs[train_idx], full.labels[train_idx])
     test = Dataset(full.inputs[test_idx], full.labels[test_idx])
-    part = partition(train, cfg.clients, d.partition, cfg.data_seed, d.shards_per_client)
-    return train, test, [Dataset(train.inputs[idx], train.labels[idx]) for idx in part.assignments]
+    shards = partition(train, cfg.clients, d.partition, cfg.data_seed, d.shards_per_client)
+    return train, test, [Dataset(train.inputs[idx], train.labels[idx]) for idx in shards]
 
 
 def same_bits(a: Dataset, b: Dataset) -> bool:
@@ -208,10 +208,10 @@ class TestHeldOnce:
     @pytest.mark.parametrize("scheme", PARTITION_SCHEMES)
     def test_build_matches_fancy_index_construction(self, scheme, source, test_fraction):
         cfg = data_config(source, scheme, test_fraction)
-        train, test, part = build_data(cfg)
+        train, test, shards = build_data(cfg)
         ref_train, ref_test, ref_views = fancy_index_build(cfg)
         assert same_bits(train, ref_train) and same_bits(test, ref_test)
-        views = [train.subset(idx) for idx in part.assignments]
+        views = [train.subset(idx) for idx in shards]
         assert all(same_bits(view, ref) for view, ref in zip(views, ref_views, strict=True))
         if scheme == "equal":
             assert all(np.shares_memory(view.inputs, train.inputs) for view in views)

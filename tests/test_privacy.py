@@ -23,7 +23,7 @@ UNIT = AlgoConfig("iiadmm", rho=1.0, zeta=1.0)
 
 
 def private(epsilon, clip=1.0):
-    return PrivacyConfig(enabled=True, epsilon_bar=epsilon, clip_c=clip)
+    return PrivacyConfig(enabled=True, epsilon_bar=epsilon, clip=clip)
 
 
 class TestClip:

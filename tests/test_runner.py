@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import socket
+import threading
 
 import numpy as np
 import pytest
@@ -9,11 +10,11 @@ import pytest
 from flcore.algorithms import iiadmm_global
 from flcore.config import parse_config
 from flcore.data import Dataset, train_test_split
-from flcore.errors import ConfigError, NumericError, ProtocolError
+from flcore.errors import ConfigError, FlcoreError, NumericError, ProtocolError, TransportError
 from flcore.models import ModelSpec, param_count
 from flcore.runner import epsilon_sweep, final_accuracy, metrics_line, train, validate, write_sweep_csv
 from flcore.transport import InProcessCarrier, TcpServerCarrier, decode_vectors, encode_update_payload
-from flcore.worker import build_workers
+from flcore.worker import build_workers, run_client
 
 
 def blob_config(**overrides):
@@ -115,7 +116,7 @@ class TestTrainBasics:
     def test_eval_every_skips_intermediate_rounds(self):
         cfg = blob_config(algo={"rounds": 5}, run={"eval_every": 2})
         record = train(cfg)
-        evaluated = [m.round_num for m in record.metrics if m.test_accuracy is not None]
+        evaluated = [m.round for m in record.metrics if m.test_acc is not None]
         # Every eval_every rounds, plus always the final round.
         assert evaluated == [2, 4, 5]
 
@@ -198,6 +199,46 @@ class TestNonFiniteNamed:
         )
         with pytest.raises(NumericError, match=r"^round 1: evaluating the test split: non-finite"):
             train(cfg)
+
+
+DIVERGING = {
+    "model": {"kind": "linear-regression", "input_dim": 3},
+    "algo": {"kind": "fedavg", "eta": 1e200, "rounds": 3, "local_steps": 1, "batch_size": 8},
+    "data": {"source": "synthetic-regression", "n": 80, "input_dim": 3, "noise": 0.1},
+    "run": {"clients": 2, "seed": 0, "timeout_s": 30.0},
+}
+# Client 0's second mini-batch gradient overflows inside its own local update.
+DIVERGED = "non-finite loss/gradient for linear-regression model at local epoch 1, batch 1"
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+class TestClientErrorNamedOnce:
+    def test_in_process(self):
+        with pytest.raises(NumericError) as info:
+            train(parse_config(DIVERGING))
+        assert str(info.value) == f"round 1: client 0: {DIVERGED}"
+
+    def test_over_tcp(self):
+        cfg = parse_config(DIVERGING)
+        carrier = TcpServerCarrier("127.0.0.1:0", cfg.clients, handshake_timeout_s=30.0)
+        errors = {}
+
+        def client(cid):
+            try:
+                run_client(f"127.0.0.1:{carrier.address[1]}", cid, cfg)
+            except FlcoreError as exc:
+                errors[cid] = str(exc)
+
+        threads = [threading.Thread(target=client, args=(cid,)) for cid in range(cfg.clients)]
+        for t in threads:
+            t.start()
+        with pytest.raises(TransportError) as info:
+            train(cfg, carrier=carrier)
+        for t in threads:
+            t.join(timeout=30.0)
+        assert str(info.value) == f"round 1: client 0 reported: {DIVERGED}"
+        # Each client's own error still names its round.
+        assert errors[0] == f"round 1: client 0: {DIVERGED}"
 
 
 class TestAlgorithms:
@@ -318,9 +359,9 @@ class TestEpsilonSweep:
 
 class TestMetricsLine:
     def test_timing_keys_written_as_zero(self):
-        from flcore.transport import RoundMetrics
+        from flcore.runner import RoundMetrics
 
-        m = RoundMetrics(round_num=3, train_loss=1.5, test_accuracy=None)
+        m = RoundMetrics(round=3, train_loss=1.5, test_acc=None)
         obj = json.loads(metrics_line(m))
         assert obj["t_local_ms"] == obj["t_comm_ms"] == obj["t_global_ms"] == 0.0
         assert obj["test_acc"] is None

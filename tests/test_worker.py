@@ -328,4 +328,4 @@ class TestGroups:
             alone[2].handle_global(1, w)
         message = str(in_group.value)
         assert message == str(by_itself.value)
-        assert message.startswith("client 2, round 1: ") and "local epoch 1, batch" in message
+        assert message.startswith("client 2: ") and "local epoch 1, batch" in message
