@@ -57,6 +57,13 @@ def _positive_int(value: str) -> int:
     return number
 
 
+def _positive_float(value: str) -> float:
+    number = float(value)
+    if not 0 < number < math.inf:  # NaN fails both comparisons
+        raise argparse.ArgumentTypeError(f"must be a positive finite number, got {value}")
+    return number
+
+
 def _load(args) -> RunConfig:
     cfg = load_config(args.config)
     if getattr(args, "seed", None) is not None:
@@ -193,7 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--hidden-dim", type=int, default=5)
     p.add_argument("--batch", type=_positive_int, default=8)
     p.add_argument("--samples", type=_positive_int, default=20)
-    p.add_argument("--tol", type=float, default=1e-4)
+    p.add_argument("--tol", type=_positive_float, default=1e-4)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_gradcheck)
 

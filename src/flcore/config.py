@@ -99,9 +99,10 @@ _FIELDS = {name: _section_fields(name) for name in _SECTIONS}
 def _coerce(value, hint, where: str):
     """Convert one JSON value to its field's type, or raise a ConfigError naming the key.
 
-    Numbers convert as int() / float() do, so "inf" reads as infinity; NaN is
-    refused everywhere and infinity everywhere but ``_INF_KEYS``.  bool and str
-    fields take only JSON booleans and strings; Optional fields take null.
+    Numbers convert as int() / float() do, so "inf" reads as infinity, except
+    that a JSON boolean is no number and an int field refuses a fraction; NaN
+    is refused everywhere and infinity everywhere but ``_INF_KEYS``.  bool and
+    str fields take only JSON booleans and strings; Optional fields take null.
     """
     args = typing.get_args(hint)
     if type(None) in args:
@@ -114,6 +115,8 @@ def _coerce(value, hint, where: str):
         except (TypeError, ValueError, OverflowError):
             pass
         else:
+            if isinstance(value, bool) or (hint is int and isinstance(value, float) and number != value):
+                raise ConfigError(f"{where} must be {hint.__name__}, got {value!r}")
             if math.isfinite(number) or (number == math.inf and where in _INF_KEYS):
                 return number
             raise ConfigError(f"{where} must be finite, got {value!r}")

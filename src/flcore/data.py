@@ -5,8 +5,8 @@ regression and Gaussian blob classification); IDX and CSV loaders bring in
 real files.  Partitioning supports an equal contiguous split, an IID shuffle,
 and a label-sorted shard deal for controllable non-IID skew.  Everything here
 is a seeded function: the same arguments always produce bitwise-equal
-arrays.  Each dataset is held once: the holdout split reorders its rows in
-place, and a client's contiguous share of them is a view.
+arrays.  Each dataset is held once: the holdout split and the deal to
+clients reorder its rows in place, and each client's rows are a view.
 """
 
 from __future__ import annotations
@@ -44,19 +44,6 @@ class Dataset:
     @property
     def input_dim(self) -> int:
         return self.inputs.shape[1]
-
-    def subset(self, indices: np.ndarray) -> "Dataset":
-        """Rows ``indices`` of this dataset.
-
-        One ascending run of consecutive indices comes back as slice views,
-        so the subset aliases this dataset and writes to either show in both;
-        any other index set is copied.
-        """
-        if len(indices) and indices.dtype.kind in "iu" and 0 <= indices[0] <= self.size - len(indices):
-            run = slice(int(indices[0]), int(indices[0]) + len(indices))
-            if np.array_equal(indices, np.arange(run.start, run.stop)):
-                return Dataset(self.inputs[run], self.labels[run])
-        return Dataset(self.inputs[indices], self.labels[indices])
 
 
 def generate_synthetic(
@@ -161,6 +148,22 @@ def partition(
 
     _check_partition(assignments, total)
     return assignments
+
+
+def deal(dataset: Dataset, assignments: Sequence[np.ndarray]) -> list[Dataset]:
+    """Each client's rows as a view, after writing them over ``dataset`` client by client.
+
+    Each client keeps its rows' order, so an ``equal`` partition moves no row;
+    the rows from the first one that moves on are copied once.
+    """
+    order = np.concatenate(assignments)
+    moved = np.flatnonzero(order != np.arange(len(order)))
+    if len(moved):
+        start = moved[0]
+        for array in (dataset.inputs, dataset.labels):
+            array[start:] = array[order[start:]]
+    bounds = np.cumsum([0] + [len(rows) for rows in assignments])
+    return [Dataset(dataset.inputs[a:b], dataset.labels[a:b]) for a, b in zip(bounds[:-1], bounds[1:])]
 
 
 def _check_partition(assignments: list[np.ndarray], total: int) -> None:
@@ -288,7 +291,7 @@ def load_idx(images_path: str, labels_path: str) -> Dataset:
     labels = _load_idx_array(labels_path, IDX_LABELS_MAGIC)
     if images.shape[0] != labels.shape[0]:
         raise IngestionError(
-            f"image/label count mismatch: {images.shape[0]} images vs {labels.shape[0]} labels"
+            f"{labels_path}: count mismatch: {labels.shape[0]} labels vs {images.shape[0]} images in {images_path}"
         )
     flat = images.reshape(images.shape[0], -1).astype(np.float64)
     flat /= 255.0

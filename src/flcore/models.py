@@ -274,8 +274,8 @@ def grad_check(
     externally supplied gradient for the model's own (for auditing a
     hand-computed gradient).
     """
-    if h <= 0 or tol <= 0:
-        raise ConfigError("grad_check requires h > 0 and tol > 0")
+    if not (0 < h < np.inf and 0 < tol < np.inf):  # NaN fails both comparisons
+        raise ConfigError(f"grad_check requires 0 < h < inf and 0 < tol < inf, got h={h!r}, tol={tol!r}")
     if analytic is None:
         _, analytic = loss_and_grad(spec, params, batch)
     theta = np.array(params, dtype=np.float64)

@@ -19,7 +19,7 @@ import numpy as np
 from .algorithms import ALGORITHMS, dual_update, fedavg_global, iceadmm_global, iiadmm_global, noise_spec
 from .blas import single_thread
 from .config import RunConfig, build_data, initial_model
-from .data import Dataset
+from .data import Dataset, deal
 from .errors import ConfigError, FlcoreError, NumericError, ProtocolError
 from .models import Batch, ModelSpec, loss_and_outputs, param_count
 # Unused here, but flbench/tracing.py patches these names in this module (ROADMAP item 3).
@@ -96,7 +96,7 @@ def train(
         config.validate()
         m = param_count(config.model)
         train_data, test_data, shards = build_data(config)
-        views = [train_data.subset(idx) for idx in shards]
+        views = deal(train_data, shards)
         weights = [view.size / train_data.size for view in views]
 
         w = initial_model(config)

@@ -17,16 +17,15 @@ FedAvg/IIADMM or two (z then lambda) for ICEADMM; JOIN_ACK carries the
 server's shared settings (``config.shared_settings``) as canonical JSON, which
 each client compares with its own before it answers a round.
 
-The in-process carrier pushes the very same encoded bytes through memory
-that the TCP carrier pushes through sockets, so frame sizes and decoded
-values are identical across carriers.
+The in-process carrier hands over the same encoded payloads in memory, without
+frame headers, so both carriers decode the same values and count the same bytes.
 
 Rounds are synchronous: the server sends GLOBAL_MODEL to every client, then
 reads exactly one frame per client, in id order, from that client's own
-channel.  That frame must be the client's LOCAL_UPDATE for the round, of the
-size the session fixes, or its ERROR (``check_update``).  Every server wait
-is bounded: the handshake by one deadline, each send by the carrier's
-timeout, and each round's reads by one round deadline (``run.timeout_s``).
+channel.  Over TCP, that frame must be the client's LOCAL_UPDATE for the
+round, of the size the session fixes, or its ERROR (``check_update``).  Every
+server wait is bounded: the handshake by one deadline, each send by the
+carrier's timeout, and each round's reads by one round deadline (``run.timeout_s``).
 """
 
 from __future__ import annotations
@@ -155,7 +154,7 @@ def decode_join_ack(payload: bytes) -> dict:
     return settings
 
 
-# --- the gather check shared by both carriers --------------------------------
+# --- the TCP server's gather check ------------------------------------------
 
 
 def check_update(header: bytes, client_id: int, round_num: int, size: int) -> tuple[int, int, int, int]:
@@ -192,11 +191,11 @@ def _check_client_count(carrier_clients: int, config: RunConfig) -> None:
 
 
 class InProcessCarrier:
-    """Memory-channel carrier: drives worker objects through the same codec.
+    """Memory-channel carrier: drives worker objects with the codec's payloads.
 
-    Workers with equal ``group_key`` run each round through one
-    ``handle_group`` call on their class, but every client still gets its
-    own GLOBAL_MODEL frame decoded and its own LOCAL_UPDATE frame encoded.
+    Each round encodes and decodes the model payload once, runs workers of
+    equal ``group_key`` through one ``handle_group`` call on their class, and
+    wraps each reply's encoded payload in an Envelope; no frame is built.
     """
 
     def __init__(self, workers):
@@ -208,39 +207,28 @@ class InProcessCarrier:
         for worker in self.workers:
             groups.setdefault(worker.group_key, []).append(worker)
         self.groups = list(groups.values())
-        self._pending: dict[int, bytes] = {}
-        self._update_size = 0
+        self._pending: list[Envelope] = []
 
     def start(self, config: RunConfig) -> None:
         _check_client_count(len(self.workers), config)
-        ack_payload = encode_join_ack(config)
-        self._update_size = payload_size(config.algo.kind, param_count(config.model))
+        settings = decode_join_ack(encode_join_ack(config))
         for worker in self.workers:
-            ack = decode_envelope(encode_envelope(Envelope(JOIN_ACK, 0, worker.client_id, ack_payload)))
-            worker.handle_join_ack(decode_join_ack(ack.payload))
+            worker.handle_join_ack(settings)
 
     def broadcast_model(self, round_num: int, w: np.ndarray) -> int:
-        """Run every client's round; returns the GLOBAL_MODEL bytes sent."""
-        frame = encode_envelope(Envelope(GLOBAL_MODEL, round_num, 0, encode_vector(w)))
-        self._pending = {}
+        """Run every client's round; returns the GLOBAL_MODEL bytes a framed carrier would send."""
+        payload = encode_vector(w)
+        sent = decode_vectors(payload)[0]
+        self._pending = []
         for group in self.groups:
-            envs = [decode_envelope(frame) for _ in group]
-            models = np.stack([decode_vectors(env.payload)[0] for env in envs])
-            updates = type(group[0]).handle_group(group, envs[0].round_num, models)
-            for worker, env, arrays in zip(group, envs, updates):
-                reply = Envelope(LOCAL_UPDATE, env.round_num, worker.client_id, encode_update_payload(arrays))
-                self._pending[worker.client_id] = encode_envelope(reply)
-        return len(frame) * len(self.workers)
+            updates = type(group[0]).handle_group(group, round_num, np.repeat(sent[None], len(group), 0))
+            for worker, arrays in zip(group, updates):
+                self._pending.append(Envelope(LOCAL_UPDATE, round_num, worker.client_id, encode_update_payload(arrays)))
+        return (HEADER_SIZE + len(payload)) * len(self.workers)
 
     def gather_updates(self, round_num: int, timeout_s: float = 60.0) -> list[Envelope]:
-        frames, self._pending = self._pending, {}
-        envs = []
-        for cid in range(len(self.workers)):
-            if cid not in frames:
-                raise TransportError(f"round {round_num} missing an update from client {cid}")
-            check_update(frames[cid][:HEADER_SIZE], cid, round_num, self._update_size)
-            envs.append(decode_envelope(frames[cid]))
-        return envs
+        envs, self._pending = self._pending, []
+        return sorted(envs, key=lambda env: env.client_id)
 
     def finish(self) -> None:
         pass

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import algorithms, transport
 from .config import RunConfig, build_data, initial_model
-from .data import Dataset, batches
+from .data import Dataset, batches, deal
 from .errors import ConfigError, FlcoreError, NumericError, ProtocolError, TransportError
 from .models import Batch, loss_and_grad
 from .privacy import NoiseSpec, noise_stream, perturb_output
@@ -133,9 +133,9 @@ def _stack(arrays: list[np.ndarray]) -> np.ndarray:
 
 
 def build_workers(config: RunConfig) -> list[ClientWorker]:
-    """All P workers for an in-process run, sharing one materialized dataset."""
+    """All P workers for an in-process run; each worker's rows are a view of one dealt dataset."""
     train, _, shards = build_data(config)
-    return [ClientWorker(config, cid, train.subset(shards[cid])) for cid in range(config.clients)]
+    return [ClientWorker(config, cid, rows) for cid, rows in enumerate(deal(train, shards))]
 
 
 def build_worker(config: RunConfig, client_id: int) -> ClientWorker:

@@ -72,14 +72,19 @@ class TestSimulate:
             whole = (images if key == "data.images_path" else labels).read_bytes()
             malformed.write_bytes(whole[:-3])
             where = f"{malformed}: truncated at byte {len(whole) - 3}"
-        for bad, expected in ((tmp_path / "missing", str(tmp_path / "missing")), (malformed, where)):
+        cases = [(tmp_path / "missing", [str(tmp_path / "missing")]), (malformed, [where])]
+        if key == "data.labels_path":  # 3 labels for the 4 images: the message names both files
+            short = tmp_path / "three_labels.idx"
+            short.write_bytes(struct.pack(">II", 0x801, 3) + bytes([0, 1, 0]))
+            cases.append((short, [f"{short}: ", "mismatch", str(images)]))
+        for bad, expected in cases:
             data = {"source": "csv" if key == "data.path" else "idx", "input_dim": 2,
                     "images_path": str(images), "labels_path": str(labels), key.split(".")[1]: str(bad)}
             path = tmp_path / "run.json"
             path.write_text(json.dumps({"model": {"kind": "softmax", "input_dim": 2, "output_dim": 2}, "data": data}))
             assert main(["simulate", "--config", str(path)]) == 2
             err = capsys.readouterr().err
-            assert f"config error: {key}: " in err and expected in err
+            assert f"config error: {key}: " in err and all(text in err for text in expected)
 
     def test_parallel_flag_does_not_change_output(self, config_path, tmp_path):
         a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
@@ -246,6 +251,13 @@ class TestGradcheck:
             main(["gradcheck", "--model", "softmax", flag, value])
         assert exc.value.code == 2
         assert f"{flag}: must be a positive integer, got {value}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "-1"])
+    def test_tolerance_must_be_positive_and_finite(self, capsys, value):
+        with pytest.raises(SystemExit) as exc:
+            main(["gradcheck", "--model", "softmax", "--samples", "2", f"--tol={value}"])  # "-inf" is no option
+        assert exc.value.code == 2
+        assert f"--tol: must be a positive finite number, got {value}" in capsys.readouterr().err
 
 
 class TestUsage:

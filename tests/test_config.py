@@ -105,6 +105,29 @@ class TestParsing:
         with pytest.raises(ConfigError, match=where):
             parse_config(obj)
 
+    @pytest.mark.parametrize(
+        "name,key,value",
+        [
+            ("run", "clients", 2.5),
+            ("run", "clients", True),
+            ("algo", "rounds", False),
+            ("data", "seed", True),
+            ("privacy", "clip", True),
+            ("algo", "rho", False),
+        ],
+    )
+    def test_fraction_or_boolean_for_a_number_names_its_key(self, name, key, value):
+        with pytest.raises(ConfigError, match=rf"^{name}\.{key} must be (int|float), got {value!r}$"):
+            parse_config({name: {key: value}})
+
+    @pytest.mark.parametrize(
+        "name,key,value,expected",
+        [("run", "clients", 2.0, 2), ("run", "clients", "3", 3), ("data", "seed", "7", 7), ("privacy", "clip", "0.5", 0.5)],
+    )
+    def test_integral_numbers_and_numeric_strings_still_parse(self, name, key, value, expected):
+        got = config_to_dict(parse_config({name: {key: value}}))[name][key]
+        assert got == expected and type(got) is type(expected)
+
     def test_unknown_section_rejected(self):
         obj = minimal()
         obj["extras"] = {}

@@ -13,6 +13,7 @@ from flcore.data import (
     PARTITION_SCHEMES,
     Dataset,
     batches,
+    deal,
     generate_synthetic,
     load_csv,
     load_idx,
@@ -105,13 +106,17 @@ class TestPartition:
             partition(ds, 5, "equal")
 
 
+def rows(dataset: Dataset, indices) -> Dataset:
+    return Dataset(dataset.inputs[indices], dataset.labels[indices])
+
+
 class TestBatches:
     @pytest.fixture
     def dataset(self):
         return generate_synthetic("blobs", 40, 2, classes=2, noise=0.3, seed=5)
 
     def test_sizes_with_remainder(self, dataset):
-        got = batches([dataset.subset(np.arange(5))], batch_size=2, shuffle_seed=0, client_ids=[0], round_num=1, epoch=1)
+        got = batches([rows(dataset, np.arange(5))], batch_size=2, shuffle_seed=0, client_ids=[0], round_num=1, epoch=1)
         assert [b.n for b in got] == [2, 2, 1]
 
     def test_full_batch_when_batch_size_covers(self, dataset):
@@ -127,7 +132,7 @@ class TestBatches:
         assert not all(np.array_equal(x.inputs, y.inputs) for x, y in zip(a, c))
 
     def test_group_rows_are_each_clients_own_batches(self, dataset):
-        parts = [dataset.subset(np.arange(0, 40, 2)), dataset.subset(np.arange(1, 40, 2))]
+        parts = [rows(dataset, np.arange(0, 40, 2)), rows(dataset, np.arange(1, 40, 2))]
         group = batches(parts, 6, 4, [3, 5], 2, 1)
         assert [b.inputs.shape for b in group] == [(2, 6, 2)] * 3 + [(2, 2, 2)]
         for p, (part, client_id) in enumerate(zip(parts, [3, 5])):
@@ -143,14 +148,14 @@ class TestBatches:
 
     def test_group_needs_equal_sizes(self, dataset):
         with pytest.raises(ConfigError):
-            batches([dataset.subset(np.arange(5)), dataset.subset(np.arange(6))], 2, 0, [0, 1], 1, 1)
+            batches([rows(dataset, np.arange(5)), rows(dataset, np.arange(6))], 2, 0, [0, 1], 1, 1)
 
     @settings(max_examples=30, deadline=None)
     @given(n=st.integers(1, 50), batch_size=st.integers(1, 16), seed=st.integers(0, 99))
     def test_epoch_covers_indices_exactly_once(self, n, batch_size, seed):
         ds = Dataset(np.arange(60, dtype=float).reshape(60, 1), np.zeros(60))
         idx = np.arange(n)
-        got = batches([ds.subset(idx)], batch_size, seed, [0], 1, 1)
+        got = batches([rows(ds, idx)], batch_size, seed, [0], 1, 1)
         seen = np.sort(np.concatenate([b.inputs[0, :, 0] for b in got]))
         assert np.array_equal(seen, np.arange(n, dtype=float))
 
@@ -192,7 +197,7 @@ def fancy_index_build(cfg):
     train = Dataset(full.inputs[train_idx], full.labels[train_idx])
     test = Dataset(full.inputs[test_idx], full.labels[test_idx])
     shards = partition(train, cfg.clients, d.partition, cfg.data_seed, d.shards_per_client)
-    return train, test, [Dataset(train.inputs[idx], train.labels[idx]) for idx in shards]
+    return train, test, [rows(train, idx) for idx in shards]
 
 
 def same_bits(a: Dataset, b: Dataset) -> bool:
@@ -211,22 +216,26 @@ class TestHeldOnce:
         train, test, shards = build_data(cfg)
         ref_train, ref_test, ref_views = fancy_index_build(cfg)
         assert same_bits(train, ref_train) and same_bits(test, ref_test)
-        views = [train.subset(idx) for idx in shards]
+        views = deal(train, shards)
         assert all(same_bits(view, ref) for view, ref in zip(views, ref_views, strict=True))
-        if scheme == "equal":
-            assert all(np.shares_memory(view.inputs, train.inputs) for view in views)
-            assert all(np.shares_memory(view.labels, train.labels) for view in views)
+        assert all(np.shares_memory(view.inputs, train.inputs) for view in views)
+        assert all(np.shares_memory(view.labels, train.labels) for view in views)
+        assert same_bits(test, ref_test)  # the deal moves train rows only
 
-    def test_subset_views_only_one_ascending_run(self):
+    def test_deal_writes_clients_in_turn_keeping_each_clients_order(self):
+        ds = Dataset(np.arange(20.0).reshape(10, 2), np.arange(10))
+        parts = deal(ds, [np.array([1, 4, 7]), np.array([0, 2, 3, 9]), np.array([5, 6, 8])])
+        assert [part.labels.tolist() for part in parts] == [[1, 4, 7], [0, 2, 3, 9], [5, 6, 8]]
+        assert all(np.array_equal(part.inputs[:, 0], 2 * part.labels) for part in parts)
+        assert ds.labels.tolist() == [1, 4, 7, 0, 2, 3, 9, 5, 6, 8]
+        assert all(np.shares_memory(part.inputs, ds.inputs) for part in parts)
+
+    def test_deal_of_an_equal_partition_writes_nothing(self):
         ds = generate_synthetic("blobs", 10, 2, classes=2, seed=0)
-        run = ds.subset(np.arange(3, 7))
-        assert np.shares_memory(run.inputs, ds.inputs) and np.array_equal(run.labels, ds.labels[3:7])
-        for idx in ([3, 4, 6], [6, 5, 4], [-2, -1], [True] * 10, np.arange(0, dtype=np.int64)):
-            sub = ds.subset(np.asarray(idx))
-            assert not np.shares_memory(sub.inputs, ds.inputs)
-            assert np.array_equal(sub.inputs, ds.inputs[np.asarray(idx)])
-        with pytest.raises(IndexError):
-            ds.subset(np.arange(8, 11))
+        ds.inputs.flags.writeable = ds.labels.flags.writeable = False  # a write would raise
+        parts = deal(ds, partition(ds, 3, "equal"))
+        assert [part.size for part in parts] == [4, 3, 3]
+        assert np.array_equal(np.concatenate([part.inputs for part in parts]), ds.inputs)
 
     def test_build_peak_is_one_dataset_plus_its_test_rows(self):
         # A wide regression set: at most the generated set, a copy of its

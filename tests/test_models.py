@@ -285,6 +285,13 @@ class TestGradCheck:
         with pytest.raises(ConfigError):
             grad_check(LINREG, params, batch, h=0.0)
 
+    @pytest.mark.parametrize("arg", ["h", "tol"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+    def test_step_and_tolerance_must_be_positive_and_finite(self, arg, value):
+        params, batch = random_instance(LINREG, 24)
+        with pytest.raises(ConfigError, match=rf"0 < h < inf and 0 < tol < inf, got .*{arg}={value!r}"):
+            grad_check(LINREG, params, batch, **{arg: value})
+
 
 class TestInitParams:
     def test_zero_for_linear_models(self):

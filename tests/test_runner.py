@@ -7,9 +7,10 @@ import threading
 import numpy as np
 import pytest
 
+from flcore import runner
 from flcore.algorithms import iiadmm_global
-from flcore.config import parse_config
-from flcore.data import Dataset, train_test_split
+from flcore.config import build_data, parse_config
+from flcore.data import PARTITION_SCHEMES, Dataset, deal, train_test_split
 from flcore.errors import ConfigError, FlcoreError, NumericError, ProtocolError, TransportError
 from flcore.models import ModelSpec, param_count
 from flcore.runner import epsilon_sweep, final_accuracy, metrics_line, train, validate, write_sweep_csv
@@ -137,19 +138,42 @@ class TestTrainBasics:
 
 
 class RewritingCarrier(InProcessCarrier):
-    """An in-process carrier whose client 1 sends ``value`` in every coordinate of its round-2 update."""
+    """An in-process carrier whose client 1 sends ``rewrite(its vectors)`` as its round-2 update."""
 
-    def __init__(self, workers, value):
+    def __init__(self, workers, rewrite):
         super().__init__(workers)
-        self.value = value
+        self.rewrite = rewrite
 
     def gather_updates(self, round_num, timeout_s=60.0):
         envs = super().gather_updates(round_num, timeout_s)
         if round_num == 2:
-            vectors = decode_vectors(envs[1].payload)
-            payload = encode_update_payload([np.full_like(v, self.value) for v in vectors])
+            payload = encode_update_payload(self.rewrite(decode_vectors(envs[1].payload)))
             envs[1] = dataclasses.replace(envs[1], payload=payload)
         return envs
+
+
+def filled(value):
+    """A rewrite that puts ``value`` in every coordinate."""
+    return lambda vectors: [np.full_like(v, value) for v in vectors]
+
+
+class TestMalformedUpdateNamed:
+    """The runner's checks are the only ones an in-process update passes."""
+
+    @pytest.mark.parametrize(
+        "rewrite,message",
+        [
+            (lambda vectors: vectors + vectors[:1], "client 1 sent 3 vectors, iceadmm expects 2"),
+            (lambda vectors: vectors[:1], "client 1 sent 1 vectors, iceadmm expects 2"),
+            (lambda vectors: [v[:-1] for v in vectors], "client 1 sent a vector of the wrong dimension"),
+            (lambda vectors: [vectors[0], np.append(vectors[1], 0.0)], "client 1 sent a vector of the wrong dimension"),
+        ],
+        ids=["extra-vector", "missing-vector", "short", "long-dual"],
+    )
+    def test_malformed_update_names_client(self, rewrite, message):
+        cfg = blob_config(algo={"kind": "iceadmm", "rounds": 3}, run={"clients": 3})
+        with pytest.raises(ProtocolError, match=rf"^round 2: {message}$"):
+            train(cfg, carrier=RewritingCarrier(build_workers(cfg), rewrite))
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -159,13 +183,13 @@ class TestNonFiniteNamed:
     def test_non_finite_update_names_client(self, kind, value):
         cfg = blob_config(algo={"kind": kind, "rounds": 3}, run={"clients": 3})
         with pytest.raises(ProtocolError, match=r"^round 2: client 1 sent a non-finite value$"):
-            train(cfg, carrier=RewritingCarrier(build_workers(cfg), value))
+            train(cfg, carrier=RewritingCarrier(build_workers(cfg), filled(value)))
 
     @pytest.mark.parametrize("kind", ["fedavg", "iiadmm"])
     def test_overflowing_update_names_the_train_loss_pass(self, kind):
         cfg = blob_config(algo={"kind": kind, "rounds": 3}, run={"clients": 3})
         with pytest.raises(NumericError, match=r"^round 2: evaluating client 1's train loss: non-finite"):
-            train(cfg, carrier=RewritingCarrier(build_workers(cfg), 1e308))
+            train(cfg, carrier=RewritingCarrier(build_workers(cfg), filled(1e308)))
 
     def test_overflowing_step_names_the_train_loss_pass(self):
         # Each client's own steps stay finite; the server's loss at the iterate it receives overflows.
@@ -239,6 +263,64 @@ class TestClientErrorNamedOnce:
         assert str(info.value) == f"round 1: client 0 reported: {DIVERGED}"
         # Each client's own error still names its round.
         assert errors[0] == f"round 1: client 0: {DIVERGED}"
+
+
+DEALT_CONFIG = {  # acceptance 10's config, 4 rounds, with 196 train rows for 4 clients
+    "model": {"kind": "softmax", "input_dim": 2, "output_dim": 3},
+    "algo": {"kind": "iiadmm", "rho": 2.0, "zeta": 0.5, "local_steps": 5, "batch_size": 32, "rounds": 4},
+    "privacy": {"enabled": True, "epsilon_bar": 10, "clip": 1.0},
+    "data": {"source": "synthetic-blobs", "n": 245, "input_dim": 2, "classes": 3, "noise": 0.4},
+    "run": {"clients": 4, "seed": 29},
+}
+
+
+def dealt_config(scheme):
+    return parse_config({**DEALT_CONFIG, "data": {**DEALT_CONFIG["data"], "partition": scheme}})
+
+
+class TestDealtRows:
+    @pytest.mark.parametrize("scheme", ["iid-shuffle", "label-shards"])
+    def test_carriers_agree_when_rows_move(self, scheme, tmp_path):
+        cfg = dealt_config(scheme)
+        groups = InProcessCarrier(build_workers(cfg)).groups
+        # 196 rows cut into 8 label shards of 24 or 25 rows give clients of unequal size.
+        assert len(groups) == (1 if scheme == "iid-shuffle" else 3)
+        inproc = run_to_lines(cfg, tmp_path, "inproc.jsonl")
+        carrier = TcpServerCarrier("127.0.0.1:0", cfg.clients, handshake_timeout_s=30.0)
+        threads = [
+            threading.Thread(target=run_client, args=(f"127.0.0.1:{carrier.address[1]}", cid, cfg))
+            for cid in range(cfg.clients)
+        ]
+        for t in threads:
+            t.start()
+        tcp = run_to_lines(cfg, tmp_path, "tcp.jsonl", carrier)
+        for t in threads:
+            t.join(timeout=30.0)
+        assert len(inproc.splitlines()) == 4 and inproc == tcp
+
+    @pytest.mark.parametrize("scheme", PARTITION_SCHEMES)
+    def test_server_and_workers_share_one_train_buffer(self, scheme, monkeypatch):
+        built, dealt, seen = [], [], []
+
+        def recording_build_data(config):
+            train_data, test_data, shards = build_data(config)
+            reference = [Dataset(train_data.inputs[idx], train_data.labels[idx]) for idx in shards]
+            built.append((train_data, reference))
+            return train_data, test_data, shards
+
+        def recording_deal(dataset, assignments):
+            dealt.append(deal(dataset, assignments))
+            return dealt[-1]
+
+        monkeypatch.setattr(runner, "build_data", recording_build_data)
+        monkeypatch.setattr(runner, "deal", recording_deal)
+        train(dealt_config(scheme), on_round_end=lambda t, w, duals, c: seen.append(c))
+        [(whole, reference)], [views] = built, dealt
+        for view, worker, ref in zip(views, seen[0].workers, reference, strict=True):
+            assert worker.local is view
+            for got, buffer, want in ((view.inputs, whole.inputs, ref.inputs), (view.labels, whole.labels, ref.labels)):
+                assert np.shares_memory(got, buffer)
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 class TestAlgorithms:

@@ -161,7 +161,7 @@ class TestPayloadSize:
 
 
 class TestUpdateCollector:
-    """``check_update``: the one check every gathered frame passes, on both carriers."""
+    """``check_update``: the one check every frame the TCP server gathers passes."""
 
     SIZE = 24  # one vector of m = 2
 
