@@ -40,7 +40,8 @@ class Algorithm:
     admm: bool  # uses rho/zeta; FedAvg uses eta/beta instead
     # In-process clients of equal data size share one stacked handle_group call.
     # Not ICEADMM: stacking its flops-bound full-batch step measured slower and bigger
-    # (fullbatch-iceadmm, 3 seeds, 2 vCPU: round_ms_p50 78-89 -> 106-114 ms, peak_rss_mb 71.3-71.5 -> 87.4-87.5).
+    # (fullbatch-iceadmm, 3 seeds, 2 vCPU: round_ms_p50 78-89 -> 106-114 ms, peak_rss_mb 71.3-71.5 -> 87.4-87.5);
+    # its lone clients run concurrently instead when their full batches are large (transport.CONCURRENT_WORK).
     stacks: bool
     sensitivity: Callable  # (algo, clip_c, rho_t) -> the bound noise_spec calibrates the noise to
 

@@ -17,7 +17,6 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from .algorithms import ALGORITHMS, dual_update, fedavg_global, iceadmm_global, iiadmm_global, noise_spec
-from .blas import single_thread
 from .config import RunConfig, build_data, initial_model
 from .data import Dataset, deal
 from .errors import ConfigError, FlcoreError, NumericError, ProtocolError
@@ -63,16 +62,13 @@ def metrics_line(m: RoundMetrics) -> str:
 def validate(spec: ModelSpec, params: np.ndarray, test_data: Dataset) -> tuple[float, float | None]:
     """Mean loss and (for classifiers) argmax accuracy on a dataset, from one forward pass.
 
-    The pass runs on one BLAS thread (``blas.single_thread``), so the loss and
-    accuracy do not depend on the host's BLAS thread count.  That count is
-    process-wide while the pass runs.  With synchronous rounds no client in the
-    same process runs BLAS meanwhile, because every client waits for the next
-    GLOBAL_MODEL, so a server that hosts its clients as threads is unaffected.
+    ``loss_and_outputs`` runs on one BLAS thread, as client rounds do, so the
+    loss and accuracy do not depend on the host's BLAS thread count, and a
+    pass that overlaps client threads of the same process leaves their count at one.
     """
     if test_data.size == 0:
         raise ConfigError("validation requires a nonempty test set")
-    with single_thread():
-        loss, outputs = loss_and_outputs(spec, params, Batch(test_data.inputs, test_data.labels))
+    loss, outputs = loss_and_outputs(spec, params, Batch(test_data.inputs, test_data.labels))
     accuracy = None
     if spec.is_classifier:
         accuracy = float(np.mean(np.argmax(outputs, axis=-1) == test_data.labels))

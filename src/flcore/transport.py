@@ -32,10 +32,12 @@ from __future__ import annotations
 
 import json
 import logging
+import os
 import selectors
 import socket
 import struct
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -190,12 +192,22 @@ def _check_client_count(carrier_clients: int, config: RunConfig) -> None:
 # --- in-process carrier -----------------------------------------------------
 
 
+# Groups run concurrently only if each group's gradient calls do this much work
+# (clients x rows per call x parameters); below it, GIL handoffs between small numpy
+# calls cost more than another core gives back (scripts/group_concurrency_sweep.py).
+CONCURRENT_WORK = 1 << 21
+
+
 class InProcessCarrier:
     """Memory-channel carrier: drives worker objects with the codec's payloads.
 
     Each round encodes and decodes the model payload once, runs workers of
-    equal ``group_key`` through one ``handle_group`` call on their class, and
-    wraps each reply's encoded payload in an Envelope; no frame is built.
+    equal ``group_key`` through one ``handle_group`` call on their class (a
+    lone worker through its ``handle_global``), and wraps each reply's
+    encoded payload in an Envelope; no frame is built.  If every one of
+    several groups does CONCURRENT_WORK per gradient call, K = min(groups,
+    usable CPUs) lanes run them: the calling thread runs groups 0, K, 2K, ...
+    and K - 1 pool threads the rest, striped alike, each on one BLAS thread.
     """
 
     def __init__(self, workers):
@@ -207,6 +219,8 @@ class InProcessCarrier:
         for worker in self.workers:
             groups.setdefault(worker.group_key, []).append(worker)
         self.groups = list(groups.values())
+        self.lanes = 1
+        self._pool: ThreadPoolExecutor | None = None
         self._pending: list[Envelope] = []
 
     def start(self, config: RunConfig) -> None:
@@ -214,14 +228,38 @@ class InProcessCarrier:
         settings = decode_join_ack(encode_join_ack(config))
         for worker in self.workers:
             worker.handle_join_ack(settings)
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+        work = min(len(group) * group[0].step_rows for group in self.groups) * param_count(config.model)
+        if len(self.groups) > 1 and cpus > 1 and work >= CONCURRENT_WORK:
+            self.lanes = min(len(self.groups), cpus)
+            self._pool = ThreadPoolExecutor(self.lanes - 1, thread_name_prefix="flcore-group")
+
+    def _run_lane(self, lane: int, round_num: int, w: np.ndarray, results: list) -> None:
+        """Run groups lane, lane + K, ... into ``results``; a group that raises leaves its exception there and ends the lane."""
+        for k in range(lane, len(self.groups), self.lanes):
+            group = self.groups[k]
+            try:
+                if len(group) == 1:
+                    results[k] = [group[0].handle_global(round_num, w)]
+                else:
+                    results[k] = type(group[0]).handle_group(group, round_num, np.repeat(w[None], len(group), 0))
+            except Exception as exc:
+                results[k] = exc
+                return
 
     def broadcast_model(self, round_num: int, w: np.ndarray) -> int:
         """Run every client's round; returns the GLOBAL_MODEL bytes a framed carrier would send."""
         payload = encode_vector(w)
         sent = decode_vectors(payload)[0]
+        results: list = [None] * len(self.groups)
+        futures = [self._pool.submit(self._run_lane, lane, round_num, sent, results) for lane in range(1, self.lanes)]
+        self._run_lane(0, round_num, sent, results)
+        for future in futures:
+            future.result()
         self._pending = []
-        for group in self.groups:
-            updates = type(group[0]).handle_group(group, round_num, np.repeat(sent[None], len(group), 0))
+        for group, updates in zip(self.groups, results):
+            if isinstance(updates, Exception):
+                raise updates  # the first group, in client id order, that raised
             for worker, arrays in zip(group, updates):
                 self._pending.append(Envelope(LOCAL_UPDATE, round_num, worker.client_id, encode_update_payload(arrays)))
         return (HEADER_SIZE + len(payload)) * len(self.workers)
@@ -231,10 +269,11 @@ class InProcessCarrier:
         return sorted(envs, key=lambda env: env.client_id)
 
     def finish(self) -> None:
-        pass
+        self.close()
 
     def close(self) -> None:
-        pass
+        if self._pool is not None:
+            self._pool.shutdown()
 
 
 # --- TCP carrier ------------------------------------------------------------

@@ -18,6 +18,7 @@ import logging
 import numpy as np
 
 from . import algorithms, transport
+from .blas import single_thread
 from .config import RunConfig, build_data, initial_model
 from .data import Dataset, batches, deal
 from .errors import ConfigError, FlcoreError, NumericError, ProtocolError, TransportError
@@ -76,6 +77,12 @@ class ClientWorker:
             return ("client", self.client_id)
         return (self.config, self.local.size)
 
+    @property
+    def step_rows(self) -> int:
+        """This client's rows in each gradient call: all of them for a kind that does not stack, else one batch."""
+        stacks = algorithms.ALGORITHMS[self.config.algo.kind].stacks
+        return min(self.config.algo.batch_size, self.local.size) if stacks else self.local.size
+
     def handle_global(self, round_num: int, w: np.ndarray) -> list[np.ndarray]:
         """One local round; returns the payload vectors to communicate."""
         return ClientWorker.handle_group([self], round_num, w[None])[0]
@@ -90,7 +97,8 @@ class ClientWorker:
         batches, noise and dual steps use each client's own streams and state,
         so each client's payloads, in worker order, are bitwise what it computes
         alone.  Each epoch's mini-batches are views of a new stacked copy of
-        the group's data, freed with the round.
+        the group's data, freed with the round.  The round runs on one BLAS
+        thread, so groups may run concurrently in threads of one process.
         """
         for worker in workers:
             if worker.lam is None or worker.z is None:
@@ -111,10 +119,11 @@ class ClientWorker:
             return Batch(_stack([w.local.inputs for w in workers]), _stack([w.local.labels for w in workers]))
 
         try:
-            payloads, z, lam = algorithms.ALGORITHMS[algo.kind].client_round(
-                algo, algo.rho_at(round_num), models, _stack([w.z for w in workers]), _stack([w.lam for w in workers]),
-                epoch_batches, full_batch, grad, clip, lambda p, v: workers[p]._perturb(v, round_num, noise),
-            )
+            with single_thread():
+                payloads, z, lam = algorithms.ALGORITHMS[algo.kind].client_round(
+                    algo, algo.rho_at(round_num), models, _stack([w.z for w in workers]), _stack([w.lam for w in workers]),
+                    epoch_batches, full_batch, grad, clip, lambda p, v: workers[p]._perturb(v, round_num, noise),
+                )
         except NumericError as exc:  # the caller names the round
             raise NumericError(f"client {client_ids[exc.row]}: {exc}") from exc
         for p, worker in enumerate(workers):

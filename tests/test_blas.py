@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import threading
 
 import numpy as np
 import pytest
@@ -55,6 +56,27 @@ class TestSingleThread:
             assert threads() == 1
         assert threads() == 3
 
+    def test_overlapping_scopes_of_two_threads_restore_when_the_last_closes(self, three_threads):
+        opened = {"A": threading.Event(), "B": threading.Event()}
+        close = {"A": threading.Event(), "B": threading.Event()}
+
+        def scope(name):
+            with blas.single_thread():
+                opened[name].set()
+                close[name].wait(10.0)
+
+        a, b = (threading.Thread(target=scope, args=(name,)) for name in "AB")
+        a.start()
+        assert opened["A"].wait(10.0)
+        b.start()
+        assert opened["B"].wait(10.0)
+        close["A"].set()
+        a.join(10.0)
+        assert threads() == 1  # B's scope is still open
+        close["B"].set()
+        b.join(10.0)
+        assert threads() == 3
+
 
 def test_without_openblas_training_is_unchanged(monkeypatch):
     cfg = parse_config(
@@ -95,8 +117,8 @@ _THREAD_PROBE = textwrap.dedent(
 )
 
 
-@pytest.fixture(scope="module")
-def by_thread_count():
+def stdout_by_thread_count(script: str) -> dict[str, list[str]]:
+    """The script's stdout lines under OPENBLAS_NUM_THREADS=1 and =2."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     if cpus < 2:
         pytest.skip("OpenBLAS caps its threads at the core count, so 1 and 2 threads need 2 CPUs")
@@ -104,18 +126,45 @@ def by_thread_count():
     runs = {}
     for count in ("1", "2"):
         env = dict(os.environ, OPENBLAS_NUM_THREADS=count, PYTHONPATH=src)
-        out = subprocess.run([sys.executable, "-c", _THREAD_PROBE], env=env, capture_output=True, text=True, check=True)
+        out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
         runs[count] = out.stdout.splitlines()
     return runs
+
+
+@pytest.fixture(scope="module")
+def by_thread_count():
+    return stdout_by_thread_count(_THREAD_PROBE)
 
 
 def test_evaluation_does_not_depend_on_the_thread_count(by_thread_count):
     assert by_thread_count["1"][0] == by_thread_count["2"][0]
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="ROADMAP item 4: client gradients still run on the host's BLAS thread count, whose split changes the sums",
-)
 def test_gradient_does_not_depend_on_the_thread_count(by_thread_count):
     assert by_thread_count["1"][1] == by_thread_count["2"][1]
+
+
+# A whole in-process run at the probe's shape: every client round and
+# evaluation runs on one BLAS thread, so the metrics and final model are the
+# same bytes whatever OPENBLAS_NUM_THREADS says.
+_TRAIN_PROBE = textwrap.dedent(
+    """
+    import hashlib
+    from flcore.config import parse_config
+    from flcore.runner import metrics_line, train
+
+    record = train(parse_config({
+        "model": {"kind": "softmax", "input_dim": 30_000, "output_dim": 10},
+        "algo": {"kind": "iiadmm", "rounds": 2},
+        "data": {"source": "synthetic-blobs", "n": 200, "input_dim": 30_000, "classes": 10},
+        "run": {"clients": 2, "seed": 1},
+    }))
+    print(hashlib.sha256("\\n".join(map(metrics_line, record.metrics)).encode()).hexdigest())
+    print(hashlib.sha256(record.final_w.tobytes()).hexdigest())
+    """
+)
+
+
+def test_training_does_not_depend_on_the_thread_count():
+    runs = stdout_by_thread_count(_TRAIN_PROBE)
+    assert runs["1"] == runs["2"]

@@ -1,8 +1,10 @@
 import json
+import os
 import re
 import socket
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,7 +13,7 @@ from hypothesis import strategies as st
 
 from flcore import transport
 from flcore.config import parse_config, shared_settings
-from flcore.errors import ConfigError, ProtocolError, TransportError
+from flcore.errors import ConfigError, NumericError, ProtocolError, TransportError
 from flcore.transport import (
     DONE,
     ERROR,
@@ -31,7 +33,8 @@ from flcore.transport import (
     encode_vector,
     payload_size,
 )
-from flcore.runner import train
+from flcore.runner import metrics_line, train
+from flcore.worker import build_workers
 
 GOLDEN_DONE = bytes.fromhex("464c4d50" "01" "04" "00000000" "00000000" "0000000000000000")
 
@@ -235,6 +238,7 @@ class EchoWorker:
     """Minimal in-process client: replies with the received model."""
 
     group_key = "echo"  # the carrier runs all echo workers as one group
+    step_rows = 1  # too little work per call for the carrier to run groups concurrently
 
     def __init__(self, client_id, vectors=1):
         self.client_id = client_id
@@ -309,6 +313,98 @@ class TestInProcessCarrier:
         assert [e.client_id for e in envs] == [0, 1, 2, 3]
         assert [decode_vectors(e.payload)[0].tobytes() for e in envs] == [w.tobytes()] * 4
         assert all(worker.seen_payloads == [w.tobytes()] for worker in workers)
+
+
+CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+WORKLOADS = json.loads((Path(__file__).parents[1] / "flbench" / "workloads.json").read_text())["workloads"]
+
+
+def group_threads():
+    return [thread for thread in threading.enumerate() if thread.name.startswith("flcore-group")]
+
+
+def lone_iceadmm_config():
+    """Three ICEADMM clients, so three groups of one."""
+    return parse_config(
+        {
+            "model": {"kind": "softmax", "input_dim": 4, "output_dim": 3},
+            "algo": {"kind": "iceadmm", "rho": 2.0, "zeta": 1.0, "local_steps": 3, "rounds": 3},
+            "privacy": {"enabled": True, "epsilon_bar": 10, "clip": 1.0},
+            "data": {"source": "synthetic-blobs", "n": 120, "input_dim": 4, "classes": 3},
+            "run": {"clients": 3, "seed": 4},
+        }
+    )
+
+
+def uneven_iiadmm_config():
+    """Three IIADMM clients of 31, 30 and 30 rows: a group of one and a group of two."""
+    return parse_config(
+        {
+            "model": {"kind": "mlp1", "input_dim": 4, "output_dim": 3, "hidden_dim": 5},
+            "algo": {"kind": "iiadmm", "rho": 2.0, "zeta": 0.5, "local_steps": 2, "batch_size": 8, "rounds": 3},
+            "privacy": {"enabled": True, "epsilon_bar": 10, "clip": 1.0},
+            "data": {"source": "synthetic-blobs", "n": 114, "input_dim": 4, "classes": 3, "partition": "iid-shuffle"},
+            "run": {"clients": 3, "seed": 2},
+        }
+    )
+
+
+def run_with_threshold(monkeypatch, cfg, threshold, on_round_end=None):
+    """``train`` with the carrier's concurrency threshold set; records whether group threads ran each round."""
+    monkeypatch.setattr(transport, "CONCURRENT_WORK", threshold)
+    pooled = []
+
+    def hook(t, w, duals, carrier):
+        pooled.append(bool(group_threads()))
+        if on_round_end is not None:
+            on_round_end(t, w, duals, carrier)
+
+    try:
+        return train(cfg, on_round_end=hook), pooled
+    finally:
+        assert not group_threads()
+
+
+@pytest.mark.skipif(CPUS < 2, reason="groups run concurrently only with more than one usable CPU")
+class TestConcurrentGroups:
+    @pytest.mark.parametrize("make_config", [lone_iceadmm_config, uneven_iiadmm_config])
+    def test_pooled_and_sequential_runs_are_byte_identical(self, monkeypatch, make_config):
+        cfg = make_config()
+        if make_config is uneven_iiadmm_config:
+            sizes = [len(group) * group[0].local.size for group in transport.InProcessCarrier(build_workers(cfg)).groups]
+            assert sizes == [31, 60]
+        sequential, never = run_with_threshold(monkeypatch, cfg, float("inf"))
+        pooled, always = run_with_threshold(monkeypatch, cfg, 0)
+        assert never == [False] * 3 and always == [True] * 3
+        assert [metrics_line(m) for m in pooled.metrics] == [metrics_line(m) for m in sequential.metrics]
+        assert pooled.final_w.tobytes() == sequential.final_w.tobytes()
+
+    def test_failing_group_is_named_as_in_a_sequential_run(self, monkeypatch):
+        def poison(t, w, duals, carrier):
+            # Clients 1 (on a group thread) and 2 (on the calling thread) both fail in round 2.
+            if t == 1:
+                for worker in carrier.workers[1:]:
+                    worker.local.inputs[0, 0] = np.nan
+
+        messages = []
+        for threshold in (float("inf"), 0):
+            with pytest.raises(NumericError) as info:
+                run_with_threshold(monkeypatch, lone_iceadmm_config(), threshold, poison)
+            messages.append(str(info.value))
+        assert messages[0].startswith("round 2: client 1: ")
+        assert messages[1] == messages[0]
+
+    @pytest.mark.parametrize("workload, lanes", [("dispatch-mlp", 1), ("fullbatch-iceadmm", 2)])
+    def test_only_flops_bound_groups_run_concurrently(self, workload, lanes):
+        raw = WORKLOADS[workload]["config"]
+        cfg = parse_config({**raw, "algo": {**raw["algo"], "rounds": 1}})
+        carrier = transport.InProcessCarrier(build_workers(cfg))
+        carrier.start(cfg)
+        try:
+            assert carrier.lanes == lanes
+        finally:
+            carrier.close()
+        assert not group_threads()
 
 
 def run_echo_client(port, client_id, rounds, vectors=1, join_only=False, result=None):
