@@ -1,16 +1,16 @@
-"""Scoped single-threaded BLAS for the OpenBLAS that numpy already loaded.
+"""One BLAS thread for the OpenBLAS that numpy already loaded.
 
 The entry points are looked up through numpy's own extension module, so
 ctypes reaches the copy in memory (the wheel's ``numpy.libs`` OpenBLAS, or a
-system one).  Without an OpenBLAS, ``single_thread`` does nothing.  Every
-model kernel and client round runs inside it, so no metric depends on the
-host's BLAS thread count.
+system one).  Without an OpenBLAS, ``one_thread`` does nothing.  Every model
+kernel and client round calls it on entry, so no metric depends on the host's
+BLAS thread count.  No flcore BLAS call wants a second thread, so the count
+is never set back; a host that wants more threads afterwards sets them itself.
 """
 
 from __future__ import annotations
 
 import ctypes
-import threading
 
 try:
     from numpy._core import _multiarray_umath
@@ -35,28 +35,7 @@ def _find_openblas():
 OPENBLAS = _find_openblas()
 
 
-class single_thread:
-    """Run the enclosed BLAS calls on one thread; the count is process-wide while any scope is open.
-
-    Scopes nest and overlap across threads: the first to open saves the count
-    and sets 1, the last to close restores it.  A class, not a generator,
-    because nested entries are on the kernel's hot path.
-    """
-
-    _lock = threading.Lock()
-    _open = _saved = 0
-
-    def __enter__(self) -> None:
-        if OPENBLAS is not None:
-            with single_thread._lock:
-                if not single_thread._open:
-                    single_thread._saved = OPENBLAS[1]()
-                    OPENBLAS[0](1)
-                single_thread._open += 1
-
-    def __exit__(self, *exc) -> None:
-        if OPENBLAS is not None:
-            with single_thread._lock:
-                single_thread._open -= 1
-                if not single_thread._open:
-                    OPENBLAS[0](single_thread._saved)
+def one_thread() -> None:
+    """Set numpy's OpenBLAS to one thread for the whole process, whatever it was before."""
+    if OPENBLAS is not None:
+        OPENBLAS[0](1)

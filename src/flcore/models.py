@@ -10,8 +10,8 @@ their layer shapes, (fan_out, fan_in) per layer, and their loss head:
 Parameters live in a single float64 vector with a fixed packing order (the
 wire format depends on it): row-major weight matrix first, then biases,
 layer by layer.  All arithmetic is 64-bit IEEE-754; given identical inputs,
-``loss_and_grad`` returns bitwise-identical outputs, on one BLAS thread
-whatever the host's count (``blas.single_thread``).
+``loss_and_grad`` returns bitwise-identical outputs; each kernel call sets
+BLAS to one thread first, whatever the host set (``blas.one_thread``).
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from functools import cache
 
 import numpy as np
 
-from .blas import single_thread
+from .blas import one_thread
 from .errors import ConfigError, NumericError, ShapeError
 
 MODEL_KINDS = ("linear-regression", "softmax", "mlp1")
@@ -201,8 +201,8 @@ def loss_and_outputs(spec: ModelSpec, params: np.ndarray, batch: Batch) -> tuple
     """
     stacked = params.ndim == 2
     params, x, labels = _as_stack(spec, params, batch)
-    with single_thread():
-        loss, out, *_ = _forward(spec, _layers(spec, params), x, labels)
+    one_thread()
+    loss, out, *_ = _forward(spec, _layers(spec, params), x, labels)
     _check_finite(spec, loss)
     if stacked:
         return loss, out
@@ -224,22 +224,22 @@ def loss_and_grad(spec: ModelSpec, params: np.ndarray, batch: Batch) -> tuple[fl
     stacked = params.ndim == 2
     params, x, labels = _as_stack(spec, params, batch)
     layers = _layers(spec, params)
-    with single_thread():
-        loss, _, acts, delta, onehot = _forward(spec, layers, x, labels)
-        n = x.shape[-2]
-        if onehot is not None:
-            # Cross-entropy: exp(log p) - onehot, scaled by 1/n, in the buffer of log p.
-            np.exp(delta, out=delta)
-            delta -= onehot
-            delta /= n
-        grad = np.empty(params.shape)
-        for i, (gw, gb) in reversed(list(enumerate(_layers(spec, grad)))):
-            np.matmul(_t(delta), acts[i], out=gw)
-            gb[...] = delta.sum(axis=-2)
-            if i:
-                mask = acts[i] > 0.0  # pre > 0, NaN included: max(NaN, 0) is NaN
-                delta = np.matmul(delta, layers[i][0], out=acts[i])  # into acts[i], which is not read again
-                delta *= mask
+    one_thread()
+    loss, _, acts, delta, onehot = _forward(spec, layers, x, labels)
+    n = x.shape[-2]
+    if onehot is not None:
+        # Cross-entropy: exp(log p) - onehot, scaled by 1/n, in the buffer of log p.
+        np.exp(delta, out=delta)
+        delta -= onehot
+        delta /= n
+    grad = np.empty(params.shape)
+    for i, (gw, gb) in reversed(list(enumerate(_layers(spec, grad)))):
+        np.matmul(_t(delta), acts[i], out=gw)
+        gb[...] = delta.sum(axis=-2)
+        if i:
+            mask = acts[i] > 0.0  # pre > 0, NaN included: max(NaN, 0) is NaN
+            delta = np.matmul(delta, layers[i][0], out=acts[i])  # into acts[i], which is not read again
+            delta *= mask
     if onehot is None:
         grad /= n  # squared error: dividing the residuals by n instead would change the last bits
     _check_finite(spec, loss, grad)

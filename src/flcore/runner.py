@@ -62,9 +62,9 @@ def metrics_line(m: RoundMetrics) -> str:
 def validate(spec: ModelSpec, params: np.ndarray, test_data: Dataset) -> tuple[float, float | None]:
     """Mean loss and (for classifiers) argmax accuracy on a dataset, from one forward pass.
 
-    ``loss_and_outputs`` runs on one BLAS thread, as client rounds do, so the
-    loss and accuracy do not depend on the host's BLAS thread count, and a
-    pass that overlaps client threads of the same process leaves their count at one.
+    ``loss_and_outputs`` sets BLAS to one thread and never back, as client
+    rounds do, so the loss and accuracy do not depend on the host's BLAS
+    thread count, and a pass that overlaps client threads leaves them at one.
     """
     if test_data.size == 0:
         raise ConfigError("validation requires a nonempty test set")

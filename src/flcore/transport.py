@@ -207,7 +207,8 @@ class InProcessCarrier:
     encoded payload in an Envelope; no frame is built.  If every one of
     several groups does CONCURRENT_WORK per gradient call, K = min(groups,
     usable CPUs) lanes run them: the calling thread runs groups 0, K, 2K, ...
-    and K - 1 pool threads the rest, striped alike, each on one BLAS thread.
+    and K - 1 pool threads the rest, striped alike, each on one BLAS thread:
+    every lane's ``handle_group`` sets 1, and none sets the count back.
     """
 
     def __init__(self, workers):

@@ -18,7 +18,7 @@ import logging
 import numpy as np
 
 from . import algorithms, transport
-from .blas import single_thread
+from .blas import one_thread
 from .config import RunConfig, build_data, initial_model
 from .data import Dataset, batches, deal
 from .errors import ConfigError, FlcoreError, NumericError, ProtocolError, TransportError
@@ -97,8 +97,8 @@ class ClientWorker:
         batches, noise and dual steps use each client's own streams and state,
         so each client's payloads, in worker order, are bitwise what it computes
         alone.  Each epoch's mini-batches are views of a new stacked copy of
-        the group's data, freed with the round.  The round runs on one BLAS
-        thread, so groups may run concurrently in threads of one process.
+        the group's data, freed with the round.  The round sets BLAS to one
+        thread first and never back, so groups may run concurrently in threads.
         """
         for worker in workers:
             if worker.lam is None or worker.z is None:
@@ -118,12 +118,12 @@ class ClientWorker:
         def full_batch() -> Batch:
             return Batch(_stack([w.local.inputs for w in workers]), _stack([w.local.labels for w in workers]))
 
+        one_thread()
         try:
-            with single_thread():
-                payloads, z, lam = algorithms.ALGORITHMS[algo.kind].client_round(
-                    algo, algo.rho_at(round_num), models, _stack([w.z for w in workers]), _stack([w.lam for w in workers]),
-                    epoch_batches, full_batch, grad, clip, lambda p, v: workers[p]._perturb(v, round_num, noise),
-                )
+            payloads, z, lam = algorithms.ALGORITHMS[algo.kind].client_round(
+                algo, algo.rho_at(round_num), models, _stack([w.z for w in workers]), _stack([w.lam for w in workers]),
+                epoch_batches, full_batch, grad, clip, lambda p, v: workers[p]._perturb(v, round_num, noise),
+            )
         except NumericError as exc:  # the caller names the round
             raise NumericError(f"client {client_ids[exc.row]}: {exc}") from exc
         for p, worker in enumerate(workers):

@@ -1,31 +1,33 @@
+import contextlib
 import os
 import subprocess
 import sys
 import textwrap
-import threading
 
 import numpy as np
 import pytest
 
 from flcore import blas
 from flcore.config import parse_config
-from flcore.runner import metrics_line, train
+from flcore.data import Dataset
+from flcore.models import Batch, ModelSpec, loss_and_grad, loss_and_outputs, param_count
+from flcore.runner import metrics_line, train, validate
+from flcore.transport import decode_join_ack, encode_join_ack
+from flcore.worker import build_worker
 
 needs_openblas = pytest.mark.skipif(blas.OPENBLAS is None, reason="numpy is not built on OpenBLAS")
 
 
-def threads():
-    return blas.OPENBLAS[1]()
-
-
-@pytest.fixture
-def three_threads():
-    """The count set to 3 for the test, so a restore cannot be mistaken for a reset to the default."""
+@contextlib.contextmanager
+def count_set_to(n: int):
+    """The process's OpenBLAS count set to n inside, and set back after."""
     set_threads, get_threads = blas.OPENBLAS
     before = get_threads()
-    set_threads(3)
-    yield
-    set_threads(before)
+    set_threads(n)
+    try:
+        yield
+    finally:
+        set_threads(before)
 
 
 def test_lookup_finds_numpys_openblas():
@@ -36,48 +38,46 @@ def test_lookup_finds_numpys_openblas():
     assert blas.OPENBLAS is not None
 
 
+def _softmax_kernel(kernel):
+    spec = ModelSpec("softmax", 4, 3)
+    gen = np.random.default_rng(0)
+    kernel(spec, gen.standard_normal(param_count(spec)), Batch(gen.standard_normal((8, 4)), gen.integers(0, 3, 8)))
+
+
+def _dp_client_round():
+    cfg = parse_config(
+        {
+            "model": {"kind": "softmax", "input_dim": 2, "output_dim": 3},
+            "algo": {"kind": "iiadmm", "local_steps": 2, "batch_size": 16, "rounds": 1},
+            "privacy": {"enabled": True, "epsilon_bar": 10, "clip": 1.0},
+            "data": {"source": "synthetic-blobs", "n": 80, "input_dim": 2, "classes": 3},
+            "run": {"clients": 2, "seed": 5},
+        }
+    )
+    worker = build_worker(cfg, 0)
+    worker.handle_join_ack(decode_join_ack(encode_join_ack(cfg)))
+    worker.handle_global(1, np.zeros(param_count(cfg.model)))
+
+
 @needs_openblas
-class TestSingleThread:
-    def test_one_thread_inside_restored_after(self, three_threads):
-        with blas.single_thread():
-            assert threads() == 1
-        assert threads() == 3
-
-    def test_restored_after_an_exception(self, three_threads):
-        with pytest.raises(KeyError):
-            with blas.single_thread():
-                raise KeyError("inside")
-        assert threads() == 3
-
-    def test_nested_scopes_restore_the_outer_count(self, three_threads):
-        with blas.single_thread():
-            with blas.single_thread():
-                assert threads() == 1
-            assert threads() == 1
-        assert threads() == 3
-
-    def test_overlapping_scopes_of_two_threads_restore_when_the_last_closes(self, three_threads):
-        opened = {"A": threading.Event(), "B": threading.Event()}
-        close = {"A": threading.Event(), "B": threading.Event()}
-
-        def scope(name):
-            with blas.single_thread():
-                opened[name].set()
-                close[name].wait(10.0)
-
-        a, b = (threading.Thread(target=scope, args=(name,)) for name in "AB")
-        a.start()
-        assert opened["A"].wait(10.0)
-        b.start()
-        assert opened["B"].wait(10.0)
-        close["A"].set()
-        a.join(10.0)
-        assert threads() == 1  # B's scope is still open
-        close["B"].set()
-        b.join(10.0)
-        assert threads() == 3
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: _softmax_kernel(loss_and_grad),
+        lambda: _softmax_kernel(loss_and_outputs),
+        lambda: _softmax_kernel(lambda spec, params, batch: validate(spec, params, Dataset(batch.inputs, batch.labels))),
+        _dp_client_round,
+    ],
+    ids=["loss_and_grad", "loss_and_outputs", "validate", "dp_client_round"],
+)
+def test_kernels_leave_openblas_on_one_thread(call):
+    # 3, not the default, so that a count set back to what the host had cannot pass for the pin.
+    with count_set_to(3):
+        call()
+        assert blas.OPENBLAS[1]() == 1
 
 
+@needs_openblas
 def test_without_openblas_training_is_unchanged(monkeypatch):
     cfg = parse_config(
         {
@@ -88,14 +88,16 @@ def test_without_openblas_training_is_unchanged(monkeypatch):
         }
     )
     record = train(cfg)
-    monkeypatch.setattr(blas, "OPENBLAS", None)
-    without = train(cfg)
+    # The pin outlives the first run, so raise the count: the run without OpenBLAS must not inherit one thread.
+    with count_set_to(2):
+        monkeypatch.setattr(blas, "OPENBLAS", None)
+        without = train(cfg)
     assert [metrics_line(m) for m in without.metrics] == [metrics_line(m) for m in record.metrics]
     assert without.final_w.tobytes() == record.final_w.tobytes()
 
 
 # A softmax shape whose products OpenBLAS splits differently under 1 and 2
-# threads: without the single-threaded scope, this seed's loss differs in its
+# threads: without the one-thread pin, this seed's loss differs in its
 # last bit, and every seed's logits differ.
 _THREAD_PROBE = textwrap.dedent(
     """
@@ -144,7 +146,8 @@ def test_gradient_does_not_depend_on_the_thread_count(by_thread_count):
     assert by_thread_count["1"][1] == by_thread_count["2"][1]
 
 
-# A whole in-process run at the probe's shape: every client round and
+# A whole in-process run at the probe's shape, without and with DP (whose
+# clipping takes a dot over all m = 300,010 parameters): every client round and
 # evaluation runs on one BLAS thread, so the metrics and final model are the
 # same bytes whatever OPENBLAS_NUM_THREADS says.
 _TRAIN_PROBE = textwrap.dedent(
@@ -153,18 +156,21 @@ _TRAIN_PROBE = textwrap.dedent(
     from flcore.config import parse_config
     from flcore.runner import metrics_line, train
 
-    record = train(parse_config({
-        "model": {"kind": "softmax", "input_dim": 30_000, "output_dim": 10},
-        "algo": {"kind": "iiadmm", "rounds": 2},
-        "data": {"source": "synthetic-blobs", "n": 200, "input_dim": 30_000, "classes": 10},
-        "run": {"clients": 2, "seed": 1},
-    }))
-    print(hashlib.sha256("\\n".join(map(metrics_line, record.metrics)).encode()).hexdigest())
-    print(hashlib.sha256(record.final_w.tobytes()).hexdigest())
+    for privacy in ({"enabled": False}, {"enabled": True, "epsilon_bar": 10, "clip": 1.0}):
+        record = train(parse_config({
+            "model": {"kind": "softmax", "input_dim": 30_000, "output_dim": 10},
+            "algo": {"kind": "iiadmm", "rounds": 2},
+            "privacy": privacy,
+            "data": {"source": "synthetic-blobs", "n": 200, "input_dim": 30_000, "classes": 10},
+            "run": {"clients": 2, "seed": 1},
+        }))
+        print(hashlib.sha256("\\n".join(map(metrics_line, record.metrics)).encode()).hexdigest())
+        print(hashlib.sha256(record.final_w.tobytes()).hexdigest())
     """
 )
 
 
 def test_training_does_not_depend_on_the_thread_count():
     runs = stdout_by_thread_count(_TRAIN_PROBE)
+    assert len(runs["1"]) == 4
     assert runs["1"] == runs["2"]
