@@ -157,7 +157,7 @@ def cmd_gradcheck(args) -> int:
 
 # Kept so existing command lines still parse; clients with equal data size
 # already run as one stacked computation.
-_PARALLEL_HELP = "accepted for compatibility; no effect: large in-process client groups run concurrently anyway (true/false)"
+_PARALLEL_HELP = "accepted for compatibility; no effect: in-process clients run in lane processes when the round is large (true/false)"
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -19,6 +19,8 @@ each client compares with its own before it answers a round.
 
 The in-process carrier hands over the same encoded payloads in memory, without
 frame headers, so both carriers decode the same values and count the same bytes.
+A large in-process run spreads its clients over lane processes, forked once
+per process and pooled between runs (``InProcessCarrier``, ``close_lanes``).
 
 Rounds are synchronous: the server sends GLOBAL_MODEL to every client, then
 reads exactly one frame per client, in id order, from that client's own
@@ -30,14 +32,19 @@ carrier's timeout, and each round's reads by one round deadline (``run.timeout_s
 
 from __future__ import annotations
 
+import atexit
+import ctypes
 import json
 import logging
+import multiprocessing
 import os
 import selectors
+import signal
 import socket
 import struct
+import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
+import traceback
 from dataclasses import dataclass
 
 import numpy as np
@@ -192,10 +199,159 @@ def _check_client_count(carrier_clients: int, config: RunConfig) -> None:
 # --- in-process carrier -----------------------------------------------------
 
 
-# Groups run concurrently only if each group's gradient calls do this much work
-# (clients x rows per call x parameters); below it, GIL handoffs between small numpy
-# calls cost more than another core gives back (scripts/group_concurrency_sweep.py).
-CONCURRENT_WORK = 1 << 21
+# A run's clients go to lane processes only if a round's client work (rows x
+# local steps x parameters, summed over clients) reaches this; below it, a
+# lane's pipe round trip costs more than its core gives back
+# (scripts/group_concurrency_sweep.py, BENCH_process_lanes.json).
+LANE_WORK = 1 << 22
+
+_PR_SET_PDEATHSIG = 1  # from <linux/prctl.h>
+
+
+def _usable_cpus() -> int:
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+def _may_fork() -> bool:
+    """Fork only from the main thread, with no other thread running.
+
+    A fork copies only the calling thread, so locks that another thread held
+    would stay held in the lane; and a lane's parent-death signal fires when
+    the thread that forked it ends, which the main thread does last.
+    """
+    return hasattr(os, "fork") and threading.current_thread() is threading.main_thread() and threading.active_count() == 1
+
+
+def _chunks(workers: list, k: int) -> list[list]:
+    """``workers`` (in id order) cut into k contiguous, nonempty runs of about equal rows."""
+    ends = np.cumsum([worker.local.size for worker in workers])
+    cuts = [0]
+    for j in range(1, k):
+        nearest = int(np.argmin(np.abs(ends - ends[-1] * j / k))) + 1
+        cuts.append(min(max(nearest, cuts[-1] + 1), len(workers) - k + j))
+    cuts.append(len(workers))
+    return [workers[a:b] for a, b in zip(cuts, cuts[1:])]
+
+
+def _parts(groups: list[list], chunk: list) -> list[list]:
+    """The nonempty parts of ``groups`` that fall in ``chunk``, in the groups' order."""
+    ids = {worker.client_id for worker in chunk}
+    return [part for part in ([w for w in group if w.client_id in ids] for group in groups) if part]
+
+
+def _run_parts(parts: list[list], round_num: int, w: np.ndarray) -> list:
+    """Each part's payloads, in order; a part that raises leaves its exception as the last entry."""
+    results = []
+    for part in parts:
+        try:
+            if len(part) == 1:
+                results.append([part[0].handle_global(round_num, w)])
+            else:
+                results.append(type(part[0]).handle_group(part, round_num, np.repeat(w[None], len(part), 0)))
+        except Exception as exc:
+            results.append(exc)
+            break
+    return results
+
+
+def _serve_lane(conn, parent: int) -> None:
+    """A lane's loop.  Messages: a list of parts loads a run's chunk, None unloads it,
+    and ``(round, w)`` runs a round and answers, per part, each worker's
+    ``(payloads, z, lambda)`` or the part's exception.  Ends when the pipe closes."""
+    try:  # best effort: die with the parent, even a SIGKILLed one
+        prctl = ctypes.CDLL(None, use_errno=True).prctl
+        prctl.argtypes, prctl.restype = [ctypes.c_int] + [ctypes.c_ulong] * 4, ctypes.c_int
+        prctl(_PR_SET_PDEATHSIG, signal.SIGKILL, 0, 0, 0)
+    except (OSError, AttributeError):
+        pass
+    if os.getppid() != parent:  # the parent ended before the signal was armed
+        return
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # an interrupt is the parent's to handle
+    fd = conn.fileno()
+    os.closerange(3, fd)
+    os.closerange(fd + 1, os.sysconf("SC_OPEN_MAX"))
+    parts: list = []
+    while True:
+        try:
+            message = conn.recv()
+        except EOFError:
+            return
+        if message is None or isinstance(message, list):
+            parts = message or []
+            continue
+        results = _run_parts(parts, *message)
+        conn.send([
+            result if isinstance(result, Exception) else [(arrays, w.z, w.lam) for w, arrays in zip(part, result)]
+            for part, result in zip(parts, results)
+        ])
+
+
+class _Lane:
+    """One forked lane process and the parent's end of its pipe."""
+
+    def __init__(self):
+        parent = os.getpid()
+        self.conn, child = multiprocessing.Pipe()
+        self.pid = os.fork()
+        if self.pid == 0:  # the lane: it leaves only through os._exit
+            status = 1
+            try:
+                _serve_lane(child, parent)
+                status = 0
+            except Exception:
+                traceback.print_exc()
+            finally:
+                os._exit(status)
+        child.close()
+        _LIVE.append(self)
+
+    def stop(self) -> None:
+        """Kill and reap the lane; a no-op once done."""
+        if self not in _LIVE:
+            return
+        _LIVE.remove(self)
+        self.conn.close()
+        try:
+            os.kill(self.pid, signal.SIGKILL)
+            os.waitpid(self.pid, 0)
+        except (ProcessLookupError, ChildProcessError):  # reaped by someone else
+            pass
+
+
+_IDLE: list[_Lane] = []  # lanes between runs, each ready to load a chunk
+_LIVE: list[_Lane] = []  # every lane this process forked and has not reaped
+
+
+def _loaded_lane(parts: list[list]) -> _Lane:
+    """A lane holding ``parts``: an idle one that still takes messages, else a new fork."""
+    while _IDLE:
+        lane = _IDLE.pop()
+        try:
+            lane.conn.send(parts)
+            return lane
+        except OSError:  # it died while idle
+            lane.stop()
+    lane = _Lane()
+    lane.conn.send(parts)
+    return lane
+
+
+def close_lanes() -> None:
+    """Kill and reap every lane process; a later run that needs lanes forks new ones.  Runs at exit."""
+    _IDLE.clear()
+    while _LIVE:
+        _LIVE[-1].stop()
+
+
+def _forget_lanes() -> None:
+    # In a forked child the parent's lanes are not the child's to use or reap.
+    _IDLE.clear()
+    _LIVE.clear()
+
+
+atexit.register(close_lanes)
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_lanes)
 
 
 class InProcessCarrier:
@@ -204,11 +360,29 @@ class InProcessCarrier:
     Each round encodes and decodes the model payload once, runs workers of
     equal ``group_key`` through one ``handle_group`` call on their class (a
     lone worker through its ``handle_global``), and wraps each reply's
-    encoded payload in an Envelope; no frame is built.  If every one of
-    several groups does CONCURRENT_WORK per gradient call, K = min(groups,
-    usable CPUs) lanes run them: the calling thread runs groups 0, K, 2K, ...
-    and K - 1 pool threads the rest, striped alike, each on one BLAS thread:
-    every lane's ``handle_group`` sets 1, and none sets the count back.
+    encoded payload in an Envelope; no frame is built.
+
+    A large run uses every usable CPU.  If ``os.fork`` exists, ``start`` runs
+    on the main thread with no other thread running, more than one CPU is
+    usable, there are at least two clients, and a round's client work reaches
+    LANE_WORK, ``start`` cuts the clients, in id order, into K = min(usable
+    CPUs, clients) runs of about equal rows and groups each run by
+    ``group_key``.  The calling process runs the first; K - 1 lane processes
+    run the rest, each round on one BLAS thread.  A lane is forked once per
+    process: ``finish`` returns it to a pool for the next run, ``close`` (a
+    failed run) kills it, and exit kills and reaps the pool
+    (``close_lanes``).  On Linux a lane dies with its parent, even a SIGKILLed one.
+
+    * A lane runs flcore code as it was when the lane forked.
+    * A lane's workers are copies taken at ``start``.  Each round the lane
+      gets the decoded w once and returns every worker's payloads, z and
+      lambda, which are written back into ``workers``; only z and lambda
+      flow back, as a TCP client keeps its own state and sends its payloads.
+
+    Updates are bitwise those of a sequential run.  A failing round raises
+    the error of the first failing group in the whole run's group order (of
+    the lowest client id where a group spans two processes); a lane that
+    dies is a TransportError naming its clients.
     """
 
     def __init__(self, workers):
@@ -220,8 +394,11 @@ class InProcessCarrier:
         for worker in self.workers:
             groups.setdefault(worker.group_key, []).append(worker)
         self.groups = list(groups.values())
+        # A failing part ranks by its group's place in a sequential run, then its first client.
+        self._rank = {w.client_id: (g, w.client_id) for g, group in enumerate(self.groups) for w in group}
         self.lanes = 1
-        self._pool: ThreadPoolExecutor | None = None
+        self._own = self.groups  # the groups, or parts of them, that this process runs
+        self._lanes: list[tuple[_Lane, list]] = []  # each lane and the parts it runs
         self._pending: list[Envelope] = []
 
     def start(self, config: RunConfig) -> None:
@@ -229,40 +406,55 @@ class InProcessCarrier:
         settings = decode_join_ack(encode_join_ack(config))
         for worker in self.workers:
             worker.handle_join_ack(settings)
-        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-        work = min(len(group) * group[0].step_rows for group in self.groups) * param_count(config.model)
-        if len(self.groups) > 1 and cpus > 1 and work >= CONCURRENT_WORK:
-            self.lanes = min(len(self.groups), cpus)
-            self._pool = ThreadPoolExecutor(self.lanes - 1, thread_name_prefix="flcore-group")
+        k = min(_usable_cpus(), len(self.workers))
+        if k > 1 and _may_fork():
+            rows = sum(worker.local.size for worker in self.workers)
+            if rows * config.algo.local_steps * param_count(config.model) >= LANE_WORK:
+                own, *rest = [_parts(self.groups, chunk) for chunk in _chunks(self.workers, k)]
+                self._own, self.lanes = own, k
+                try:
+                    for parts in rest:
+                        self._lanes.append((_loaded_lane(parts), parts))
+                except OSError as exc:  # no fork or pipe to be had; ``close`` kills the lanes started
+                    raise TransportError(f"could not start a lane process: {exc}") from exc
 
-    def _run_lane(self, lane: int, round_num: int, w: np.ndarray, results: list) -> None:
-        """Run groups lane, lane + K, ... into ``results``; a group that raises leaves its exception there and ends the lane."""
-        for k in range(lane, len(self.groups), self.lanes):
-            group = self.groups[k]
-            try:
-                if len(group) == 1:
-                    results[k] = [group[0].handle_global(round_num, w)]
-                else:
-                    results[k] = type(group[0]).handle_group(group, round_num, np.repeat(w[None], len(group), 0))
-            except Exception as exc:
-                results[k] = exc
-                return
+    def _answers(self, lane: _Lane, parts: list[list]) -> list:
+        """A lane's per-part payloads or exceptions for the round it was sent; writes its workers' z and lambda back."""
+        try:
+            reply = lane.conn.recv()
+        except (EOFError, OSError) as exc:
+            lane.stop()
+            ids = [worker.client_id for part in parts for worker in part]
+            return [TransportError(f"the lane process running clients {ids} ended: {exc!r}")]
+        answers = []
+        for part, answer in zip(parts, reply):
+            if not isinstance(answer, Exception):
+                for worker, (_, z, lam) in zip(part, answer):
+                    worker.z, worker.lam = z, lam
+                answer = [arrays for arrays, _, _ in answer]
+            answers.append(answer)
+        return answers
 
     def broadcast_model(self, round_num: int, w: np.ndarray) -> int:
         """Run every client's round; returns the GLOBAL_MODEL bytes a framed carrier would send."""
         payload = encode_vector(w)
         sent = decode_vectors(payload)[0]
-        results: list = [None] * len(self.groups)
-        futures = [self._pool.submit(self._run_lane, lane, round_num, sent, results) for lane in range(1, self.lanes)]
-        self._run_lane(0, round_num, sent, results)
-        for future in futures:
-            future.result()
-        self._pending = []
-        for group, updates in zip(self.groups, results):
-            if isinstance(updates, Exception):
-                raise updates  # the first group, in client id order, that raised
-            for worker, arrays in zip(group, updates):
-                self._pending.append(Envelope(LOCAL_UPDATE, round_num, worker.client_id, encode_update_payload(arrays)))
+        for lane, _ in self._lanes:
+            try:
+                lane.conn.send((round_num, sent))
+            except OSError:  # its recv reports it
+                pass
+        done = list(zip(self._own, _run_parts(self._own, round_num, sent)))
+        for lane, parts in self._lanes:
+            done += zip(parts, self._answers(lane, parts))
+        failed = [(self._rank[part[0].client_id], exc) for part, exc in done if isinstance(exc, Exception)]
+        if failed:
+            raise min(failed, key=lambda f: f[0])[1]
+        self._pending = [
+            Envelope(LOCAL_UPDATE, round_num, worker.client_id, encode_update_payload(arrays))
+            for part, updates in done
+            for worker, arrays in zip(part, updates)
+        ]
         return (HEADER_SIZE + len(payload)) * len(self.workers)
 
     def gather_updates(self, round_num: int, timeout_s: float = 60.0) -> list[Envelope]:
@@ -270,11 +462,20 @@ class InProcessCarrier:
         return sorted(envs, key=lambda env: env.client_id)
 
     def finish(self) -> None:
-        self.close()
+        """Unload every lane back into the pool."""
+        lanes, self._lanes = self._lanes, []
+        for lane, _ in lanes:
+            try:
+                lane.conn.send(None)
+                _IDLE.append(lane)
+            except OSError:  # it died after its last answer
+                lane.stop()
 
     def close(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown()
+        """Kill this run's lanes: after a failure one may still owe a round's answer."""
+        lanes, self._lanes = self._lanes, []
+        for lane, _ in lanes:
+            lane.stop()
 
 
 # --- TCP carrier ------------------------------------------------------------

@@ -77,12 +77,6 @@ class ClientWorker:
             return ("client", self.client_id)
         return (self.config, self.local.size)
 
-    @property
-    def step_rows(self) -> int:
-        """This client's rows in each gradient call: all of them for a kind that does not stack, else one batch."""
-        stacks = algorithms.ALGORITHMS[self.config.algo.kind].stacks
-        return min(self.config.algo.batch_size, self.local.size) if stacks else self.local.size
-
     def handle_global(self, round_num: int, w: np.ndarray) -> list[np.ndarray]:
         """One local round; returns the payload vectors to communicate."""
         return ClientWorker.handle_group([self], round_num, w[None])[0]
@@ -98,7 +92,7 @@ class ClientWorker:
         so each client's payloads, in worker order, are bitwise what it computes
         alone.  Each epoch's mini-batches are views of a new stacked copy of
         the group's data, freed with the round.  The round sets BLAS to one
-        thread first and never back, so groups may run concurrently in threads.
+        thread first and never back, so each lane process keeps to one core.
         """
         for worker in workers:
             if worker.lam is None or worker.z is None:

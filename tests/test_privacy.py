@@ -48,17 +48,19 @@ class TestClip:
         assert np.linalg.norm(clip_gradient(g, c)) <= c * (1 + 1e-12)
 
     def test_stack_clips_each_row_as_alone(self):
-        # Odd m and a row offset: rows after the first are not 64-byte aligned.
-        buf = np.random.default_rng(7).normal(0, 1, 6 * 37 + 1)
-        stack = buf[1:].reshape(6, 37)
-        stack[2] *= 1e-3  # inside the ball
-        clipped = clip_gradient(stack, 0.5)
-        for row, out in zip(stack, clipped):
-            norm = float(np.linalg.norm(row.copy()))
-            reference = row if norm <= 0.5 else row * (0.5 / norm)
-            assert np.array_equal(out, reference)
-            assert np.array_equal(out, clip_gradient(row.copy(), 0.5))
-        assert np.array_equal(clipped[2], stack[2])
+        # Odd m and a row offset: rows after the first are not 64-byte aligned.  The wide
+        # m are those of the wide-tcp workload and three times it, where BLAS dots block.
+        for m in (37, 100_001, 300_010):
+            buf = np.random.default_rng(7).normal(0, 1, 6 * m + 1)
+            stack = buf[1:].reshape(6, m)
+            stack[2] *= 1e-3 / np.sqrt(m)  # inside the ball
+            clipped = clip_gradient(stack, 0.5)
+            for row, out in zip(stack, clipped):
+                norm = float(np.linalg.norm(row.copy()))
+                reference = row if norm <= 0.5 else row * (0.5 / norm)
+                assert np.array_equal(out, reference)
+                assert np.array_equal(out, clip_gradient(row.copy(), 0.5))
+            assert np.array_equal(clipped[2], stack[2])
 
     def test_stack_inside_ball_returned_as_is(self):
         stack = np.full((3, 4), 0.1)

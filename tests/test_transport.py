@@ -1,10 +1,14 @@
 import json
 import os
 import re
+import signal
 import socket
+import subprocess
+import sys
 import threading
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -238,7 +242,7 @@ class EchoWorker:
     """Minimal in-process client: replies with the received model."""
 
     group_key = "echo"  # the carrier runs all echo workers as one group
-    step_rows = 1  # too little work per call for the carrier to run groups concurrently
+    local = SimpleNamespace(size=1)  # one row: too little work for the carrier to use lanes
 
     def __init__(self, client_id, vectors=1):
         self.client_id = client_id
@@ -314,13 +318,74 @@ class TestInProcessCarrier:
         assert [decode_vectors(e.payload)[0].tobytes() for e in envs] == [w.tobytes()] * 4
         assert all(worker.seen_payloads == [w.tobytes()] for worker in workers)
 
+    @settings(max_examples=200, deadline=None)
+    @given(sizes=st.lists(st.integers(1, 50), min_size=1, max_size=12), data=st.data())
+    def test_lane_chunks_are_contiguous_and_nonempty(self, sizes, data):
+        k = data.draw(st.integers(1, len(sizes)))
+        workers = [SimpleNamespace(local=SimpleNamespace(size=n)) for n in sizes]
+        chunks = transport._chunks(workers, k)
+        assert len(chunks) == k and all(chunks) and [w for chunk in chunks for w in chunk] == workers
+        if len(set(sizes)) == 1 and len(sizes) % k == 0:  # equal rows split evenly
+            assert [len(chunk) for chunk in chunks] == [len(sizes) // k] * k
 
-CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+
 WORKLOADS = json.loads((Path(__file__).parents[1] / "flbench" / "workloads.json").read_text())["workloads"]
+SRC = Path(__file__).parents[1] / "src"
 
 
-def group_threads():
-    return [thread for thread in threading.enumerate() if thread.name.startswith("flcore-group")]
+class RaisingWorker(EchoWorker):
+    """A lone client whose every round fails with a NumericError naming a row, as a stacked kernel's does."""
+
+    @property
+    def group_key(self):
+        return ("raising", self.client_id)
+
+    def handle_global(self, round_num, w):
+        raise NumericError(f"client {self.client_id}: non-finite loss", row=self.client_id + 5)
+
+
+# Runs two clients, one in a lane that sleeps through round 1, so that the lane is
+# mid-round (not waiting on its pipe) when this process is killed; prints the lane pids.
+KILLED_PARENT = """
+import os, sys, time
+sys.path.insert(0, sys.argv[1])
+from types import SimpleNamespace
+from flcore import transport
+from flcore.config import parse_config
+from flcore.runner import train
+
+transport.LANE_WORK = 0
+transport._usable_cpus = lambda: 2
+PARENT = os.getpid()
+
+
+class Sleeper:
+    local = SimpleNamespace(size=1)
+
+    def __init__(self, client_id):
+        self.client_id = self.group_key = client_id
+
+    def handle_join_ack(self, settings):
+        pass
+
+    def handle_global(self, round_num, w):
+        if os.getpid() == PARENT:
+            print(*[lane.pid for lane in transport._LIVE], flush=True)
+        else:
+            time.sleep(60)
+        return [w]
+
+
+config = parse_config({"run": {"clients": 2}})
+train(config, carrier=transport.InProcessCarrier([Sleeper(0), Sleeper(1)]))
+"""
+# A round of 8 rows x 1 step x 100,000 parameters, as acceptance 06's widest: below LANE_WORK.
+LIGHT = {
+    "model": {"kind": "linear-regression", "input_dim": 99_999},
+    "algo": {"kind": "fedavg", "local_steps": 1, "batch_size": 64},
+    "data": {"source": "synthetic-regression", "n": 8, "input_dim": 99_999, "test_fraction": 0.0},
+    "run": {"clients": 2},
+}
 
 
 def lone_iceadmm_config():
@@ -349,25 +414,76 @@ def uneven_iiadmm_config():
     )
 
 
-def run_with_threshold(monkeypatch, cfg, threshold, on_round_end=None):
-    """``train`` with the carrier's concurrency threshold set; records whether group threads ran each round."""
-    monkeypatch.setattr(transport, "CONCURRENT_WORK", threshold)
-    pooled = []
+def fedavg_config():
+    """Four FedAvg clients of equal rows: one group, cut across three processes."""
+    return parse_config(
+        {
+            "model": {"kind": "mlp1", "input_dim": 4, "output_dim": 3, "hidden_dim": 5},
+            "algo": {"kind": "fedavg", "eta": 0.1, "beta": 0.9, "local_steps": 2, "batch_size": 8, "rounds": 3},
+            "privacy": {"enabled": True, "epsilon_bar": 10, "clip": 1.0},
+            "data": {"source": "synthetic-blobs", "n": 160, "input_dim": 4, "classes": 3},
+            "run": {"clients": 4, "seed": 3},
+        }
+    )
+
+
+def run_with_threshold(monkeypatch, cfg, threshold, on_round_end=None, workers=None):
+    """``train`` with the carrier's lane threshold set; records how many processes ran each round."""
+    monkeypatch.setattr(transport, "LANE_WORK", threshold)
+    processes = []
 
     def hook(t, w, duals, carrier):
-        pooled.append(bool(group_threads()))
+        processes.append(carrier.lanes)
         if on_round_end is not None:
             on_round_end(t, w, duals, carrier)
 
+    carrier = None if workers is None else transport.InProcessCarrier(workers)
     try:
-        return train(cfg, on_round_end=hook), pooled
+        return train(cfg, carrier=carrier, on_round_end=hook), processes
     finally:
-        assert not group_threads()
+        assert transport._IDLE == transport._LIVE  # every surviving lane went back to the pool
 
 
-@pytest.mark.skipif(CPUS < 2, reason="groups run concurrently only with more than one usable CPU")
+def has_children() -> bool:
+    """Whether this process has a child, a zombie included; reaps none."""
+    try:
+        os.waitid(os.P_ALL, 0, os.WEXITED | os.WNOHANG | os.WNOWAIT)
+        return True
+    except ChildProcessError:
+        return False
+
+
+def stat(pid: int) -> list[str]:
+    """The fields of /proc/PID/stat after the command name: state, parent pid, ..."""
+    return Path(f"/proc/{pid}/stat").read_text().rsplit(")", 1)[1].split()
+
+
+def gone(pid: int) -> bool:
+    """True once ``pid`` has exited (a zombie waiting for a reaper counts)."""
+    try:
+        return stat(pid)[0] == "Z"
+    except FileNotFoundError:
+        return True
+
+
+needs_lanes = pytest.mark.skipif(
+    not hasattr(os, "fork") or not Path("/proc/self/stat").is_file(), reason="lanes are forked; the checks read /proc"
+)
+
+
+@pytest.fixture
+def three_cpus(monkeypatch):
+    """Three usable CPUs, so three-client runs use two lanes whatever the host has; fresh lanes for each test."""
+    monkeypatch.setattr(transport, "_usable_cpus", lambda: 3)
+    transport.close_lanes()
+    yield
+    transport.close_lanes()
+
+
+@needs_lanes
+@pytest.mark.usefixtures("three_cpus")
 class TestConcurrentGroups:
-    @pytest.mark.parametrize("make_config", [lone_iceadmm_config, uneven_iiadmm_config])
+    @pytest.mark.parametrize("make_config", [lone_iceadmm_config, uneven_iiadmm_config, fedavg_config])
     def test_pooled_and_sequential_runs_are_byte_identical(self, monkeypatch, make_config):
         cfg = make_config()
         if make_config is uneven_iiadmm_config:
@@ -375,36 +491,126 @@ class TestConcurrentGroups:
             assert sizes == [31, 60]
         sequential, never = run_with_threshold(monkeypatch, cfg, float("inf"))
         pooled, always = run_with_threshold(monkeypatch, cfg, 0)
-        assert never == [False] * 3 and always == [True] * 3
+        assert never == [1] * 3 and always == [3] * 3
         assert [metrics_line(m) for m in pooled.metrics] == [metrics_line(m) for m in sequential.metrics]
         assert pooled.final_w.tobytes() == sequential.final_w.tobytes()
 
-    def test_failing_group_is_named_as_in_a_sequential_run(self, monkeypatch):
-        def poison(t, w, duals, carrier):
-            # Clients 1 (on a group thread) and 2 (on the calling thread) both fail in round 2.
-            if t == 1:
-                for worker in carrier.workers[1:]:
-                    worker.local.inputs[0, 0] = np.nan
+    def test_server_duals_equal_the_lane_workers_lambda(self, monkeypatch):
+        checked = []
 
+        def check(t, w, duals, carrier):
+            assert all(duals[p].tobytes() == worker.lam.tobytes() for p, worker in enumerate(carrier.workers))
+            checked.append(t)
+
+        # Client 0 runs here; the group of clients 1 and 2 is cut across the two lanes.
+        _, processes = run_with_threshold(monkeypatch, uneven_iiadmm_config(), 0, check)
+        assert processes == [3] * 3 and checked == [1, 2, 3]
+
+    def test_failing_group_is_named_as_in_a_sequential_run(self, monkeypatch):
+        cfg = lone_iceadmm_config()
         messages = []
         for threshold in (float("inf"), 0):
+            # A lane holds a copy of its workers from the start, so the rows are poisoned first:
+            # clients 1 and 2 both fail in round 1, each in its own lane when lanes are on.
+            workers = build_workers(cfg)
+            for worker in workers[1:]:
+                worker.local.inputs[0, 0] = np.nan
             with pytest.raises(NumericError) as info:
-                run_with_threshold(monkeypatch, lone_iceadmm_config(), threshold, poison)
+                run_with_threshold(monkeypatch, cfg, threshold, workers=workers)
             messages.append(str(info.value))
-        assert messages[0].startswith("round 2: client 1: ")
+        assert messages[0].startswith("round 1: client 1: ")
         assert messages[1] == messages[0]
 
-    @pytest.mark.parametrize("workload, lanes", [("dispatch-mlp", 1), ("fullbatch-iceadmm", 2)])
-    def test_only_flops_bound_groups_run_concurrently(self, workload, lanes):
-        raw = WORKLOADS[workload]["config"]
+    def test_numeric_error_crosses_a_lane_whole(self, monkeypatch):
+        raised = []
+        for threshold in (float("inf"), 0):
+            monkeypatch.setattr(transport, "LANE_WORK", threshold)
+            carrier = transport.InProcessCarrier([EchoWorker(0), RaisingWorker(1), RaisingWorker(2)])
+            carrier.start(make_config(clients=3))
+            try:
+                with pytest.raises(NumericError) as info:
+                    carrier.broadcast_model(1, np.zeros(2))
+            finally:
+                carrier.close()
+            raised.append((carrier.lanes, type(info.value), str(info.value), info.value.row))
+        assert raised == [(1, NumericError, "client 1: non-finite loss", 6), (3, NumericError, "client 1: non-finite loss", 6)]
+
+    def test_lane_that_dies_is_named_by_its_clients(self, monkeypatch):
+        def kill_first_lane(t, w, duals, carrier):
+            if t == 1:
+                lane = carrier._lanes[0][0]
+                os.kill(lane.pid, signal.SIGKILL)
+                os.waitid(os.P_PID, lane.pid, os.WEXITED | os.WNOWAIT)
+
+        with pytest.raises(TransportError, match=r"^round 2: the lane process running clients \[1\] ended"):
+            run_with_threshold(monkeypatch, lone_iceadmm_config(), 0, kill_first_lane)
+        assert not transport._LIVE and not has_children()  # the failed run reaped its dead lane and killed the other
+
+    @pytest.mark.parametrize(
+        "workload, processes", [("dispatch-mlp", 3), ("fullbatch-iceadmm", 2), ("wide-tcp", 2), ("light", 1)]
+    )
+    def test_only_heavy_rounds_run_in_lanes(self, workload, processes):
+        raw = WORKLOADS[workload]["config"] if workload in WORKLOADS else LIGHT
         cfg = parse_config({**raw, "algo": {**raw["algo"], "rounds": 1}})
         carrier = transport.InProcessCarrier(build_workers(cfg))
         carrier.start(cfg)
         try:
-            assert carrier.lanes == lanes
+            assert carrier.lanes == processes
         finally:
-            carrier.close()
-        assert not group_threads()
+            carrier.finish()
+        assert len(transport._IDLE) == processes - 1
+
+
+@needs_lanes
+@pytest.mark.usefixtures("three_cpus")
+class TestLaneLifecycle:
+    def test_close_lanes_reaps_every_lane(self, monkeypatch):
+        run_with_threshold(monkeypatch, lone_iceadmm_config(), 0)
+        pids = [lane.pid for lane in transport._LIVE]
+        assert len(pids) == 2 and all(int(stat(pid)[1]) == os.getpid() for pid in pids)
+        transport.close_lanes()
+        assert not has_children() and not transport._LIVE and not transport._IDLE
+
+    def test_lane_killed_while_idle_is_replaced(self, monkeypatch):
+        cfg = lone_iceadmm_config()
+        first, _ = run_with_threshold(monkeypatch, cfg, 0)
+        dead = transport._IDLE[-1].pid
+        os.kill(dead, signal.SIGKILL)
+        os.waitid(os.P_PID, dead, os.WEXITED | os.WNOWAIT)
+        again, processes = run_with_threshold(monkeypatch, cfg, 0)
+        assert processes == [3] * 3 and dead not in [lane.pid for lane in transport._LIVE]
+        assert [metrics_line(m) for m in again.metrics] == [metrics_line(m) for m in first.metrics]
+
+    def test_forked_child_leaves_the_parents_lanes_alone(self, monkeypatch):
+        run_with_threshold(monkeypatch, lone_iceadmm_config(), 0)
+        pids = [lane.pid for lane in transport._LIVE]
+        child = os.fork()
+        if child == 0:  # a child that exits through atexit would otherwise reap its parent's lanes
+            try:
+                transport.close_lanes()
+            finally:
+                os._exit(0)
+        assert os.waitpid(child, 0)[1] == 0
+        assert not any(gone(pid) for pid in pids) and [lane.pid for lane in transport._LIVE] == pids
+
+    def test_lanes_die_with_a_killed_parent(self):
+        command = [sys.executable, "-c", KILLED_PARENT, str(SRC)]
+        proc = subprocess.Popen(command, stdout=subprocess.PIPE, text=True)
+        timer = threading.Timer(30.0, proc.kill)  # bounds the read below
+        timer.start()
+        try:
+            pids = [int(pid) for pid in proc.stdout.readline().split()]
+        finally:
+            timer.cancel()
+            timer.join(timeout=10)
+            proc.kill()
+            proc.wait(timeout=10)
+            proc.stdout.close()
+        assert len(pids) == 1
+        deadline = time.monotonic() + 2.0
+        while not all(gone(pid) for pid in pids) and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert all(gone(pid) for pid in pids)
 
 
 def run_echo_client(port, client_id, rounds, vectors=1, join_only=False, result=None):
