@@ -93,7 +93,10 @@ def perturb_output(values: np.ndarray, spec: NoiseSpec, rng: np.random.Generator
 
 
 def dp_budget_report(cfg: PrivacyConfig, spec: NoiseSpec, rounds: int) -> dict:
-    """Per-round privacy budget summary; deliberately claims no composition."""
+    """Per-round privacy budget summary; deliberately claims no composition.
+
+    ``uncovered`` lists what a client releases each round that no noise covers.
+    """
     return {
         "non_private": not cfg.is_private,
         "per_round_epsilon": None if not cfg.is_private else cfg.epsilon_bar,
@@ -101,4 +104,5 @@ def dp_budget_report(cfg: PrivacyConfig, spec: NoiseSpec, rounds: int) -> dict:
         "b": spec.scale_b,
         "rounds": rounds,
         "composition": "none claimed; the guarantee is per communication round",
+        "uncovered": ["train_loss: each client's exact mean loss on its own rows at the z it sends"],
     }

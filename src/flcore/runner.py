@@ -1,10 +1,12 @@
 """The T-round training loop, validation, metrics emission, and epsilon sweeps.
 
 Each round: broadcast w, gather every client's update in id order, apply the
-dual step (IIADMM) and then the global aggregate, validate, append one metrics
-line.  The metrics file is a deterministic record: with a fixed config and
-seed, two runs (on either carrier) produce byte-identical files, so the
-file's timing keys are written as 0.0; ``flbench/`` measures timings.
+dual step (IIADMM) and then the global aggregate, gather the train loss each
+client reports, validate, append one metrics line.  The server reads no
+client's training rows: it deals them only to build in-process workers.  The
+metrics file is a deterministic record: with a fixed config and seed, two
+runs (on either carrier) produce byte-identical files, so the file's timing
+keys are written as 0.0; ``flbench/`` measures timings.
 """
 
 from __future__ import annotations
@@ -92,14 +94,13 @@ def train(
         config.validate()
         m = param_count(config.model)
         train_data, test_data, shards = build_data(config)
-        views = deal(train_data, shards)
-        weights = [view.size / train_data.size for view in views]
+        weights = [len(shard) / train_data.size for shard in shards]
 
         w = initial_model(config)
         duals = [np.zeros(m) for _ in range(config.clients)]
 
         if carrier is None:
-            carrier = InProcessCarrier([ClientWorker(config, cid, views[cid]) for cid in range(config.clients)])
+            carrier = InProcessCarrier([ClientWorker(config, cid, rows) for cid, rows in enumerate(deal(train_data, shards))])
 
         dp_report = dp_budget_report(config.privacy, noise_spec(config.algo, config.privacy, 1), config.algo.rounds)
         record = RunRecord(metrics=[], final_w=w, dp_report=dp_report)
@@ -107,7 +108,7 @@ def train(
         carrier.start(config)
         for t in range(1, config.algo.rounds + 1):
             try:
-                w, duals, metrics = _run_round(config, carrier, t, w, duals, weights, views, test_data)
+                w, duals, metrics = _run_round(config, carrier, t, w, duals, weights, test_data)
             except FlcoreError as exc:
                 raise type(exc)(f"round {t}: {exc}") from exc
             record.metrics.append(metrics)
@@ -128,7 +129,7 @@ def train(
     return record
 
 
-def _run_round(config, carrier, t, w, duals, weights, views, test_data):
+def _run_round(config, carrier, t, w, duals, weights, test_data):
     spec, algo = config.model, config.algo
     m = param_count(spec)
     rho_t = algo.rho_at(t)
@@ -164,14 +165,18 @@ def _run_round(config, carrier, t, w, duals, weights, views, test_data):
 
     train_loss = 0.0
     residual = 0.0
-    for p, view in enumerate(views):
-        loss, _ = _evaluate(f"client {p}'s train loss", spec, z_list[p], view)
+    for p, loss in enumerate(carrier.gather_losses(t, config.timeout_s)):
+        if not math.isfinite(loss):
+            raise ProtocolError(f"client {p} sent a non-finite train loss")
         train_loss += weights[p] * loss
         residual = max(residual, float(np.max(np.abs(w_new - z_list[p]))))
 
     test_acc = None
     if test_data.size and (t % config.eval_every == 0 or t == algo.rounds):
-        _, test_acc = _evaluate("the test split", spec, w_new, test_data)
+        try:
+            _, test_acc = validate(spec, w_new, test_data)
+        except NumericError as exc:
+            raise NumericError(f"evaluating the test split: {exc}") from exc
 
     payload_up = sum(len(env.payload) for env in envelopes)
     metrics = RoundMetrics(
@@ -184,14 +189,6 @@ def _run_round(config, carrier, t, w, duals, weights, views, test_data):
         payload_bytes_up=payload_up,
     )
     return w_new, duals, metrics
-
-
-def _evaluate(what: str, spec: ModelSpec, params: np.ndarray, data: Dataset) -> tuple[float, float | None]:
-    """``validate``, with a NumericError naming the server's pass that failed."""
-    try:
-        return validate(spec, params, data)
-    except NumericError as exc:
-        raise NumericError(f"evaluating {what}: {exc}") from exc
 
 
 def final_accuracy(record: RunRecord) -> float:

@@ -5,7 +5,7 @@ Wire format (all integers little-endian):
     magic   4 bytes  "FLMP"
     version 1 byte   0x01
     kind    1 byte   JOIN=0, JOIN_ACK=1, GLOBAL_MODEL=2, LOCAL_UPDATE=3,
-                     DONE=4, ERROR=5
+                     DONE=4, ERROR=5, TRAIN_LOSS=6
     round   u32
     client  u32
     length  u64      payload byte count
@@ -13,19 +13,23 @@ Wire format (all integers little-endian):
 
 Vectors inside payloads are a u64 count followed by that many f64 values.
 GLOBAL_MODEL carries one vector (w); LOCAL_UPDATE carries one vector (z) for
-FedAvg/IIADMM or two (z then lambda) for ICEADMM; JOIN_ACK carries the
+FedAvg/IIADMM or two (z then lambda) for ICEADMM; TRAIN_LOSS carries one
+vector of one value, the client's loss at that z on its own rows; JOIN_ACK carries the
 server's shared settings (``config.shared_settings``) as canonical JSON, which
 each client compares with its own before it answers a round.
 
 The in-process carrier hands over the same encoded payloads in memory, without
-frame headers, so both carriers decode the same values and count the same bytes.
+frame headers, so both carriers decode the same values and count the same bytes;
+it hands over each client's train loss as the float itself.
 A large in-process run spreads its clients over lane processes, forked once
 per process and pooled between runs (``InProcessCarrier``, ``close_lanes``).
 
 Rounds are synchronous: the server sends GLOBAL_MODEL to every client, then
 reads exactly one frame per client, in id order, from that client's own
 channel.  Over TCP, that frame must be the client's LOCAL_UPDATE for the
-round, of the size the session fixes, or its ERROR (``check_update``).  Every
+round, of the size the session fixes, or its ERROR (``check_update``).  A
+client sends its TRAIN_LOSS in the same write, right after its LOCAL_UPDATE;
+the server reads those, one per client in id order, after its aggregate.  Every
 server wait is bounded: the handshake by one deadline, each send by the
 carrier's timeout, and each round's reads by one round deadline (``run.timeout_s``).
 """
@@ -61,12 +65,13 @@ VERSION = 0x01
 HEADER = struct.Struct("<4sBBIIQ")
 HEADER_SIZE = HEADER.size  # 22 bytes
 
-JOIN, JOIN_ACK, GLOBAL_MODEL, LOCAL_UPDATE, DONE, ERROR = range(6)
-KIND_NAMES = ("JOIN", "JOIN_ACK", "GLOBAL_MODEL", "LOCAL_UPDATE", "DONE", "ERROR")
+JOIN, JOIN_ACK, GLOBAL_MODEL, LOCAL_UPDATE, DONE, ERROR, TRAIN_LOSS = range(7)
+KIND_NAMES = ("JOIN", "JOIN_ACK", "GLOBAL_MODEL", "LOCAL_UPDATE", "DONE", "ERROR", "TRAIN_LOSS")
 
 MAX_PAYLOAD = 1 << 32
 # An ERROR carries one message; the longest real one, a settings diff, is a few KB.
 MAX_ERROR_PAYLOAD = 64 * 1024
+LOSS_SIZE = 16  # a TRAIN_LOSS payload: one vector of one value
 _CONNECT_RETRY_S = 0.05
 
 
@@ -166,13 +171,15 @@ def decode_join_ack(payload: bytes) -> dict:
 # --- the TCP server's gather check ------------------------------------------
 
 
-def check_update(header: bytes, client_id: int, round_num: int, size: int) -> tuple[int, int, int, int]:
-    """Parse the header of the frame gathered from client p's channel in round t.
+def check_update(
+    header: bytes, client_id: int, round_num: int, size: int, expected: int = LOCAL_UPDATE
+) -> tuple[int, int, int, int]:
+    """Parse the header of a frame gathered from client p's channel in round t.
 
-    It must be p's LOCAL_UPDATE for round t declaring ``size`` bytes, or p's
-    ERROR of at most MAX_ERROR_PAYLOAD bytes.  Anything else, a stale round
-    too (with synchronous rounds it can only be a duplicate), is a
-    ProtocolError naming p.  Returns the fields.
+    It must be p's ``expected`` frame (LOCAL_UPDATE or TRAIN_LOSS) for round
+    t declaring ``size`` bytes, or p's ERROR of at most MAX_ERROR_PAYLOAD
+    bytes.  Anything else, a stale round too (with synchronous rounds it can
+    only be a duplicate), is a ProtocolError naming p.  Returns the fields.
     """
     try:
         kind, env_round, env_client, length = _parse_header(header)
@@ -180,12 +187,13 @@ def check_update(header: bytes, client_id: int, round_num: int, size: int) -> tu
         raise ProtocolError(f"client {client_id}: {exc}") from None
     if env_client != client_id:
         raise ProtocolError(f"client {client_id} sent a frame as client {env_client}")
-    if kind != ERROR and (kind != LOCAL_UPDATE or env_round != round_num):
+    if kind != ERROR and (kind != expected or env_round != round_num):
         raise ProtocolError(
             f"client {client_id} sent {KIND_NAMES[kind]} for round {env_round} during round {round_num}"
         )
-    if kind == LOCAL_UPDATE and length != size:
-        raise ProtocolError(f"client {client_id} declared a {length}-byte update; the session's is {size} bytes")
+    if kind == expected and length != size:
+        what = "update" if expected == LOCAL_UPDATE else "train loss"
+        raise ProtocolError(f"client {client_id} declared a {length}-byte {what}; the session's is {size} bytes")
     if kind == ERROR and length > MAX_ERROR_PAYLOAD:
         raise ProtocolError(f"client {client_id} declared a {length}-byte ERROR; the cap is {MAX_ERROR_PAYLOAD}")
     return kind, env_round, env_client, length
@@ -240,14 +248,18 @@ def _parts(groups: list[list], chunk: list) -> list[list]:
 
 
 def _run_parts(parts: list[list], round_num: int, w: np.ndarray) -> list:
-    """Each part's payloads, in order; a part that raises leaves its exception as the last entry."""
+    """Each part's ``(payloads, train loss)`` per worker, in order.
+
+    A part that raises leaves its exception as the last entry.
+    """
     results = []
     for part in parts:
         try:
             if len(part) == 1:
-                results.append([part[0].handle_global(round_num, w)])
+                updates = [part[0].handle_global(round_num, w)]
             else:
-                results.append(type(part[0]).handle_group(part, round_num, np.repeat(w[None], len(part), 0)))
+                updates = type(part[0]).handle_group(part, round_num, np.repeat(w[None], len(part), 0))
+            results.append([(arrays, worker.train_loss(arrays[0])) for worker, arrays in zip(part, updates)])
         except Exception as exc:
             results.append(exc)
             break
@@ -257,7 +269,7 @@ def _run_parts(parts: list[list], round_num: int, w: np.ndarray) -> list:
 def _serve_lane(conn, parent: int) -> None:
     """A lane's loop.  Messages: a list of parts loads a run's chunk, None unloads it,
     and ``(round, w)`` runs a round and answers, per part, each worker's
-    ``(payloads, z, lambda)`` or the part's exception.  Ends when the pipe closes."""
+    ``(payloads, train loss, z, lambda)`` or the part's exception.  Ends when the pipe closes."""
     try:  # best effort: die with the parent, even a SIGKILLed one
         prctl = ctypes.CDLL(None, use_errno=True).prctl
         prctl.argtypes, prctl.restype = [ctypes.c_int] + [ctypes.c_ulong] * 4, ctypes.c_int
@@ -281,7 +293,7 @@ def _serve_lane(conn, parent: int) -> None:
             continue
         results = _run_parts(parts, *message)
         conn.send([
-            result if isinstance(result, Exception) else [(arrays, w.z, w.lam) for w, arrays in zip(part, result)]
+            result if isinstance(result, Exception) else [(*update, w.z, w.lam) for w, update in zip(part, result)]
             for part, result in zip(parts, results)
         ])
 
@@ -359,8 +371,9 @@ class InProcessCarrier:
 
     Each round encodes and decodes the model payload once, runs workers of
     equal ``group_key`` through one ``handle_group`` call on their class (a
-    lone worker through its ``handle_global``), and wraps each reply's
-    encoded payload in an Envelope; no frame is built.
+    lone worker through its ``handle_global``), then each worker's
+    ``train_loss`` at its outgoing z, and wraps each reply's encoded payload
+    in an Envelope; no frame is built.
 
     A large run uses every usable CPU.  If ``os.fork`` exists, ``start`` runs
     on the main thread with no other thread running, more than one CPU is
@@ -375,9 +388,9 @@ class InProcessCarrier:
 
     * A lane runs flcore code as it was when the lane forked.
     * A lane's workers are copies taken at ``start``.  Each round the lane
-      gets the decoded w once and returns every worker's payloads, z and
-      lambda, which are written back into ``workers``; only z and lambda
-      flow back, as a TCP client keeps its own state and sends its payloads.
+      gets the decoded w once and returns every worker's payloads, train
+      loss, z and lambda; z and lambda are written back into ``workers``,
+      as a TCP client keeps its own state and sends its payloads and loss.
 
     Updates are bitwise those of a sequential run.  A failing round raises
     the error of the first failing group in the whole run's group order (of
@@ -399,7 +412,7 @@ class InProcessCarrier:
         self.lanes = 1
         self._own = self.groups  # the groups, or parts of them, that this process runs
         self._lanes: list[tuple[_Lane, list]] = []  # each lane and the parts it runs
-        self._pending: list[Envelope] = []
+        self._pending: list[tuple[Envelope, float]] = []  # each client's update and train loss, in id order
 
     def start(self, config: RunConfig) -> None:
         _check_client_count(len(self.workers), config)
@@ -419,7 +432,10 @@ class InProcessCarrier:
                     raise TransportError(f"could not start a lane process: {exc}") from exc
 
     def _answers(self, lane: _Lane, parts: list[list]) -> list:
-        """A lane's per-part payloads or exceptions for the round it was sent; writes its workers' z and lambda back."""
+        """A lane's per-part (payloads, train loss) or exception for the round it was sent.
+
+        Writes its workers' z and lambda back.
+        """
         try:
             reply = lane.conn.recv()
         except (EOFError, OSError) as exc:
@@ -429,9 +445,9 @@ class InProcessCarrier:
         answers = []
         for part, answer in zip(parts, reply):
             if not isinstance(answer, Exception):
-                for worker, (_, z, lam) in zip(part, answer):
+                for worker, (_, _, z, lam) in zip(part, answer):
                     worker.z, worker.lam = z, lam
-                answer = [arrays for arrays, _, _ in answer]
+                answer = [(arrays, loss) for arrays, loss, _, _ in answer]
             answers.append(answer)
         return answers
 
@@ -450,16 +466,21 @@ class InProcessCarrier:
         failed = [(self._rank[part[0].client_id], exc) for part, exc in done if isinstance(exc, Exception)]
         if failed:
             raise min(failed, key=lambda f: f[0])[1]
-        self._pending = [
-            Envelope(LOCAL_UPDATE, round_num, worker.client_id, encode_update_payload(arrays))
+        pending = [
+            (Envelope(LOCAL_UPDATE, round_num, worker.client_id, encode_update_payload(arrays)), loss)
             for part, updates in done
-            for worker, arrays in zip(part, updates)
+            for worker, (arrays, loss) in zip(part, updates)
         ]
+        self._pending = sorted(pending, key=lambda item: item[0].client_id)
         return (HEADER_SIZE + len(payload)) * len(self.workers)
 
     def gather_updates(self, round_num: int, timeout_s: float = 60.0) -> list[Envelope]:
-        envs, self._pending = self._pending, []
-        return sorted(envs, key=lambda env: env.client_id)
+        return [env for env, _ in self._pending]
+
+    def gather_losses(self, round_num: int, timeout_s: float = 60.0) -> list[float]:
+        """Each client's train loss at the z it sent this round, in id order."""
+        losses, self._pending = [loss for _, loss in self._pending], []
+        return losses
 
     def finish(self) -> None:
         """Unload every lane back into the pool."""
@@ -518,7 +539,8 @@ class TcpServerCarrier:
     ``handshake_timeout_s`` bounds the whole handshake, every accept and
     JOIN read under one deadline, and also each send to a client (JOIN_ACK,
     GLOBAL_MODEL, DONE).  A round's reads are bounded by the ``timeout_s``
-    given to ``gather_updates``.
+    given to ``gather_updates``, and its train losses by the one given to
+    ``gather_losses``.
     """
 
     def __init__(self, bind_addr: str, num_clients: int, handshake_timeout_s: float = 60.0):
@@ -615,13 +637,27 @@ class TcpServerCarrier:
         return len(frame) * len(self._conns)
 
     def gather_updates(self, round_num: int, timeout_s: float = 60.0) -> list[Envelope]:
-        """Read one frame from each client, in id order, before one round deadline."""
+        """Read one LOCAL_UPDATE from each client, in id order, before one round deadline."""
+        return self._gather(round_num, timeout_s, LOCAL_UPDATE, self._update_size)
+
+    def gather_losses(self, round_num: int, timeout_s: float = 60.0) -> list[float]:
+        """Read one TRAIN_LOSS from each client, in id order, before one round deadline; returns the losses."""
+        losses = []
+        for env in self._gather(round_num, timeout_s, TRAIN_LOSS, LOSS_SIZE):
+            count, loss = struct.unpack("<Qd", env.payload)
+            if count != 1:
+                raise ProtocolError(f"client {env.client_id} sent a TRAIN_LOSS of {count} values, not 1")
+            losses.append(loss)
+        return losses
+
+    def _gather(self, round_num: int, timeout_s: float, kind: int, size: int) -> list[Envelope]:
+        """One ``kind`` frame of ``size`` payload bytes from each client, in id order, before one deadline."""
         deadline = time.monotonic() + timeout_s
         envs = []
         for cid in range(self.num_clients):
             conn = self._conns[cid]
             try:
-                header = check_update(_recv_exact(conn, HEADER_SIZE, deadline), cid, round_num, self._update_size)
+                header = check_update(_recv_exact(conn, HEADER_SIZE, deadline), cid, round_num, size, kind)
                 env = Envelope(*header[:3], _recv_exact(conn, header[3], deadline))
             except TimeoutError:
                 missing = list(range(cid, self.num_clients))
@@ -687,17 +723,21 @@ class TcpClientChannel:
         except (OSError, TransportError) as exc:  # a timeout, a reset or a clean close
             raise TransportError(f"client {self.client_id} lost the server: {exc}") from exc
 
-    def send_update(self, round_num: int, arrays: list[np.ndarray]) -> None:
-        self._send(Envelope(LOCAL_UPDATE, round_num, self.client_id, encode_update_payload(arrays)))
+    def send_update(self, round_num: int, arrays: list[np.ndarray], loss: float | None = None) -> None:
+        """LOCAL_UPDATE, then TRAIN_LOSS when ``loss`` is given, in one write."""
+        envs = [Envelope(LOCAL_UPDATE, round_num, self.client_id, encode_update_payload(arrays))]
+        if loss is not None:
+            envs.append(Envelope(TRAIN_LOSS, round_num, self.client_id, encode_vector(np.array([loss]))))
+        self._send(*envs)
 
     def send_error(self, round_num: int, message: str) -> None:
         self._send(Envelope(ERROR, round_num, self.client_id, message.encode()[:MAX_ERROR_PAYLOAD]))
 
-    def _send(self, env: Envelope) -> None:
+    def _send(self, *envs: Envelope) -> None:
         try:
-            self._sock.sendall(encode_envelope(env))
+            self._sock.sendall(b"".join(encode_envelope(env) for env in envs))
         except OSError as exc:
-            raise TransportError(f"client {self.client_id} could not send {KIND_NAMES[env.kind]}: {exc}") from exc
+            raise TransportError(f"client {self.client_id} could not send {KIND_NAMES[envs[0].kind]}: {exc}") from exc
 
     def close(self) -> None:
         try:

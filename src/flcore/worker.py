@@ -1,14 +1,17 @@
 """Client-side engine: one object per client, one method call per round.
 
 Over TCP, ``run_client`` wraps a ClientWorker in the JOIN / GLOBAL_MODEL /
-LOCAL_UPDATE / DONE state machine.  In-process, the carrier hands each group
-of workers with equal ``group_key`` to ``ClientWorker.handle_group``, which
-runs their local updates as one stacked computation per local step.  A lone
-worker is a group of one, so both carriers share one local-update path.
-A worker carries only its (z, lambda) from round to round; each epoch's
-mini-batches are shuffled into new arrays.  Every update a client produces
-is a pure function of (config, seed, client id, round), whichever group it
-runs in, which is what makes runs carrier-invariant and repeatable.
+LOCAL_UPDATE + TRAIN_LOSS / DONE state machine.  In-process, the carrier
+hands each group of workers with equal ``group_key`` to
+``ClientWorker.handle_group``, which runs their local updates as one stacked
+computation per local step.  A lone worker is a group of one, so both
+carriers share one local-update path.  Each client also reports
+``train_loss``, its loss at the z it sends, so the server never needs a
+client's rows.  A worker carries only its (z, lambda) from round to round;
+each epoch's mini-batches are shuffled into new arrays.  Every update a
+client produces is a pure function of (config, seed, client id, round),
+whichever group it runs in, which is what makes runs carrier-invariant and
+repeatable.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from .blas import one_thread
 from .config import RunConfig, build_data, initial_model
 from .data import Dataset, batches, deal
 from .errors import ConfigError, FlcoreError, NumericError, ProtocolError, TransportError
-from .models import Batch, loss_and_grad
+from .models import Batch, loss_and_grad, loss_and_outputs
 from .privacy import NoiseSpec, noise_stream, perturb_output
 
 log = logging.getLogger("flcore.worker")
@@ -80,6 +83,13 @@ class ClientWorker:
     def handle_global(self, round_num: int, w: np.ndarray) -> list[np.ndarray]:
         """One local round; returns the payload vectors to communicate."""
         return ClientWorker.handle_group([self], round_num, w[None])[0]
+
+    def train_loss(self, z: np.ndarray) -> float:
+        """Mean loss of the outgoing ``z`` on this client's rows: what it reports for the round's ``train_loss``."""
+        try:
+            return loss_and_outputs(self.config.model, z, Batch(self.local.inputs, self.local.labels))[0]
+        except NumericError as exc:
+            raise NumericError(f"evaluating client {self.client_id}'s train loss: {exc}") from exc
 
     @staticmethod
     def handle_group(workers: list[ClientWorker], round_num: int, models: np.ndarray) -> list[list[np.ndarray]]:
@@ -178,10 +188,11 @@ def run_client(addr: str, client_id: int, config: RunConfig, timeout_s: float | 
                 raise ProtocolError("GLOBAL_MODEL must carry exactly one vector")
             try:
                 arrays = worker.handle_global(env.round_num, vectors[0])
+                loss = worker.train_loss(arrays[0])
             except FlcoreError as exc:
                 # The server's report names this client and the round itself.
                 channel.send_error(env.round_num, str(exc).removeprefix(f"client {client_id}: "))
                 raise type(exc)(f"round {env.round_num}: {exc}") from exc
-            channel.send_update(env.round_num, arrays)
+            channel.send_update(env.round_num, arrays, loss)
     finally:
         channel.close()

@@ -180,6 +180,10 @@ class TestBudgetReport:
         assert report["non_private"]
         assert report["b"] == 0.0
 
+    def test_train_loss_listed_as_uncovered(self):
+        report = dp_budget_report(private(10.0), noise_spec(UNIT, private(10.0), 1), rounds=5)
+        assert [release.split(":")[0] for release in report["uncovered"]] == ["train_loss"]
+
     def test_composed_scale(self):
         # IIADMM with C=1, rho=zeta=1 at epsilon 5: delta=1, b=0.2.
         cfg = private(5.0)

@@ -3,6 +3,7 @@ import json
 import math
 import socket
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -152,6 +153,20 @@ class RewritingCarrier(InProcessCarrier):
         return envs
 
 
+class LossRewritingCarrier(InProcessCarrier):
+    """An in-process carrier whose client 1 reports ``value`` as its round-2 train loss."""
+
+    def __init__(self, workers, value):
+        super().__init__(workers)
+        self.value = value
+
+    def gather_losses(self, round_num, timeout_s=60.0):
+        losses = super().gather_losses(round_num, timeout_s)
+        if round_num == 2:
+            losses[1] = self.value
+        return losses
+
+
 def filled(value):
     """A rewrite that puts ``value`` in every coordinate."""
     return lambda vectors: [np.full_like(v, value) for v in vectors]
@@ -186,10 +201,11 @@ class TestNonFiniteNamed:
             train(cfg, carrier=RewritingCarrier(build_workers(cfg), filled(value)))
 
     @pytest.mark.parametrize("kind", ["fedavg", "iiadmm"])
-    def test_overflowing_update_names_the_train_loss_pass(self, kind):
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_train_loss_names_client(self, kind, value):
         cfg = blob_config(algo={"kind": kind, "rounds": 3}, run={"clients": 3})
-        with pytest.raises(NumericError, match=r"^round 2: evaluating client 1's train loss: non-finite"):
-            train(cfg, carrier=RewritingCarrier(build_workers(cfg), filled(1e308)))
+        with pytest.raises(ProtocolError, match=r"^round 2: client 1 sent a non-finite train loss$"):
+            train(cfg, carrier=LossRewritingCarrier(build_workers(cfg), value))
 
     def test_overflowing_step_names_the_train_loss_pass(self):
         # Each client's own steps stay finite; the server's loss at the iterate it receives overflows.
@@ -203,6 +219,13 @@ class TestNonFiniteNamed:
         )
         with pytest.raises(NumericError, match=r"^round 2: evaluating client 0's train loss: non-finite"):
             train(cfg)
+
+    def test_overflowing_step_names_the_train_loss_pass_over_tcp(self):
+        # The client evaluates its own loss and reports the failure in its update's place.
+        cfg = parse_config(OVERFLOWING_STEP)
+        message = r"^round 2: client 0 reported: evaluating client 0's train loss: non-finite"
+        with pytest.raises(TransportError, match=message):
+            run_over_tcp(cfg)
 
     def test_overflowing_test_split_is_named(self, tmp_path):
         # One test row of 1e200s: the model trains on the other rows, and only the test-split loss overflows.
@@ -223,6 +246,36 @@ class TestNonFiniteNamed:
         )
         with pytest.raises(NumericError, match=r"^round 1: evaluating the test split: non-finite"):
             train(cfg)
+
+
+# The config of test_overflowing_step_names_the_train_loss_pass, with a round deadline.
+OVERFLOWING_STEP = {
+    "model": {"kind": "linear-regression", "input_dim": 3},
+    "algo": {"kind": "fedavg", "eta": 1e150, "rounds": 3, "local_steps": 1, "batch_size": 64},
+    "data": {"source": "synthetic-regression", "n": 80, "input_dim": 3, "noise": 0.1},
+    "run": {"clients": 2, "seed": 0, "timeout_s": 30.0},
+}
+
+
+def run_over_tcp(cfg, metrics_path=None):
+    """``train`` over localhost TCP with one ``run_client`` thread per client; the clients' own errors are dropped."""
+    carrier = TcpServerCarrier("127.0.0.1:0", cfg.clients, handshake_timeout_s=30.0)
+
+    def client(cid):
+        try:
+            run_client(f"127.0.0.1:{carrier.address[1]}", cid, cfg)
+        except FlcoreError:
+            pass
+
+    threads = [threading.Thread(target=client, args=(cid,)) for cid in range(cfg.clients)]
+    for t in threads:
+        t.start()
+    try:
+        return train(cfg, carrier=carrier, metrics_path=metrics_path)
+    finally:
+        for t in threads:
+            t.join(timeout=30.0)
+        assert not any(t.is_alive() for t in threads)
 
 
 DIVERGING = {
@@ -321,6 +374,28 @@ class TestDealtRows:
             for got, buffer, want in ((view.inputs, whole.inputs, ref.inputs), (view.labels, whole.labels, ref.labels)):
                 assert np.shares_memory(got, buffer)
                 assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+WORKLOADS = json.loads((Path(__file__).parents[1] / "flbench" / "workloads.json").read_text())["workloads"]
+
+
+class TestServerHoldsNoClientRows:
+    def test_tcp_session_never_deals_client_rows(self, monkeypatch, tmp_path):
+        cfg = dealt_config("label-shards")
+        inproc = run_to_lines(cfg, tmp_path, "inproc.jsonl")
+
+        def refuse(dataset, assignments):
+            raise AssertionError("the server dealt the clients' training rows")
+
+        monkeypatch.setattr(runner, "deal", refuse)
+        run_over_tcp(cfg, str(tmp_path / "tcp.jsonl"))
+        assert (tmp_path / "tcp.jsonl").read_bytes() == inproc
+
+    @pytest.mark.parametrize("workload", sorted(WORKLOADS))
+    def test_shard_weights_equal_view_weights(self, workload):
+        train_data, _, shards = build_data(parse_config(WORKLOADS[workload]["config"]))
+        views = deal(train_data, shards)
+        assert [len(shard) / train_data.size for shard in shards] == [view.size / train_data.size for view in views]
 
 
 class TestAlgorithms:

@@ -1,8 +1,10 @@
 import json
+import math
 import os
 import re
 import signal
 import socket
+import struct
 import subprocess
 import sys
 import threading
@@ -26,6 +28,7 @@ from flcore.transport import (
     JOIN,
     JOIN_ACK,
     LOCAL_UPDATE,
+    TRAIN_LOSS,
     Envelope,
     TcpClientChannel,
     TcpServerCarrier,
@@ -255,6 +258,9 @@ class EchoWorker:
     def handle_global(self, round_num, w):
         self.seen_payloads.append(w.tobytes())
         return [w.copy() for _ in range(self.vectors)]
+
+    def train_loss(self, z):
+        return float(z.sum())
 
     @staticmethod
     def handle_group(workers, round_num, models):
@@ -656,6 +662,119 @@ def scripted_session(script, rounds=2):
     thread.start()
     carrier.start(make_config(rounds=rounds))
     return carrier, thread
+
+
+def loss_frame(round_num=1, client_id=0, length=16, kind=TRAIN_LOSS):
+    """A frame header in the TRAIN_LOSS frame's place, with no payload."""
+    return transport.HEADER.pack(transport.MAGIC, transport.VERSION, kind, round_num, client_id, length)
+
+
+def reported_loss(round_num, value=1.0):
+    """Client 0's whole TRAIN_LOSS frame for ``round_num``."""
+    return encode_envelope(Envelope(TRAIN_LOSS, round_num, 0, encode_vector(np.array([value]))))
+
+
+def raw_loss_session(answer, timeout_s=5.0):
+    """``train`` over TCP against one raw client that answers round t with an echo update and then ``answer(t)``.
+
+    ``answer`` gives the bytes sent in the TRAIN_LOSS frame's place, in the
+    update's write, or None to close the connection after the update.
+    Returns the error ``train`` raised and the seconds from its last
+    GLOBAL_MODEL to the error.
+    """
+    config = parse_config(
+        {
+            "model": {"kind": "linear-regression", "input_dim": 1},
+            "algo": {"kind": "iiadmm", "rounds": 3},
+            "data": {"source": "synthetic-regression", "input_dim": 1},
+            "run": {"clients": 1, "timeout_s": timeout_s},
+        }
+    )
+    carrier = TcpServerCarrier("127.0.0.1:0", num_clients=1, handshake_timeout_s=10.0)
+    sent = []
+
+    def client():
+        with socket.create_connection(carrier.address[:2], timeout=10.0) as raw:
+            raw.sendall(encode_envelope(Envelope(JOIN, 0, 0)))
+            try:
+                assert transport.read_frame(raw).kind == JOIN_ACK
+                while (env := transport.read_frame(raw)).kind == GLOBAL_MODEL:
+                    sent.append(time.monotonic())
+                    tail = answer(env.round_num)
+                    raw.sendall(encode_envelope(Envelope(LOCAL_UPDATE, env.round_num, 0, env.payload)) + (tail or b""))
+                    if tail is None:
+                        return
+            except (TransportError, OSError):
+                pass  # the server closed on this client
+
+    thread = threading.Thread(target=client)
+    thread.start()
+    try:
+        with pytest.raises(Exception) as info:
+            train(config, carrier=carrier)
+        return info.value, time.monotonic() - sent[-1]
+    finally:
+        thread.join(timeout=10.0)
+        assert not thread.is_alive()
+
+
+class TestTrainLossFrame:
+    """The TRAIN_LOSS frame each client sends right after its update, as ``train`` over TCP reads it."""
+
+    def test_full_session_reports_each_clients_loss(self):
+        assert TRAIN_LOSS == 6 and len(reported_loss(1)) == 38
+        carrier = TcpServerCarrier("127.0.0.1:0", num_clients=1, handshake_timeout_s=10.0)
+        with socket.create_connection(carrier.address[:2], timeout=10.0) as raw:
+            raw.sendall(encode_envelope(Envelope(JOIN, 0, 0)))
+            carrier.start(make_config())
+            assert transport.read_frame(raw).kind == JOIN_ACK
+            for t in (1, 2):
+                carrier.broadcast_model(t, np.zeros(2))
+                env = transport.read_frame(raw)
+                raw.sendall(encode_envelope(Envelope(LOCAL_UPDATE, t, 0, env.payload)) + reported_loss(t, 0.25 * t))
+                assert [e.payload for e in carrier.gather_updates(t, timeout_s=5.0)] == [env.payload]
+                assert carrier.gather_losses(t, timeout_s=5.0) == [0.25 * t]
+        carrier.close()
+
+    @pytest.mark.parametrize(
+        "answer,message",
+        [
+            (lambda t: reported_loss(t) if t == 1 else loss_frame(round_num=1),
+             "round 2: client 0 sent TRAIN_LOSS for round 1 during round 2"),
+            (lambda t: loss_frame(round_num=2), "round 1: client 0 sent TRAIN_LOSS for round 2 during round 1"),
+            (lambda t: loss_frame(client_id=9), "round 1: client 0 sent a frame as client 9"),
+            (lambda t: loss_frame(length=2**31), "round 1: client 0 declared a 2147483648-byte train loss; the session's is 16"),
+            (lambda t: loss_frame(length=24), "round 1: client 0 declared a 24-byte train loss; the session's is 16 bytes"),
+            (lambda t: loss_frame(kind=ERROR, length=2**31), "round 1: client 0 declared a 2147483648-byte ERROR"),
+            (lambda t: loss_frame(kind=LOCAL_UPDATE), "round 1: client 0 sent LOCAL_UPDATE for round 1 during round 1"),
+        ],
+        ids=["stale", "future", "wrong-client", "forged-length", "long", "forged-error-length", "second-update"],
+    )
+    def test_bad_header_rejected_before_its_payload(self, answer, message):
+        # Each header comes without its payload: reading one would wait for the deadline.
+        error, seconds = raw_loss_session(answer)
+        assert isinstance(error, ProtocolError) and str(error).startswith(message)
+        assert seconds < 2.0
+
+    def test_loss_frame_of_two_values_rejected(self):
+        error, _ = raw_loss_session(lambda t: loss_frame() + struct.pack("<Qd", 2, 1.0))
+        assert isinstance(error, ProtocolError)
+        assert str(error) == "round 1: client 0 sent a TRAIN_LOSS of 2 values, not 1"
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_loss_is_protocol_error(self, value):
+        error, _ = raw_loss_session(lambda t: reported_loss(t, value))
+        assert isinstance(error, ProtocolError) and str(error) == "round 1: client 0 sent a non-finite train loss"
+
+    def test_error_in_the_loss_frames_place_is_reported(self):
+        error, _ = raw_loss_session(lambda t: encode_envelope(Envelope(ERROR, t, 0, b"boom")))
+        assert isinstance(error, TransportError) and str(error) == "round 1: client 0 reported: boom"
+
+    def test_client_closing_before_its_loss_is_named_within_the_deadline(self):
+        error, seconds = raw_loss_session(lambda t: None, timeout_s=3.0)
+        assert isinstance(error, TransportError)
+        assert str(error).startswith("round 1: lost client 0 during round 1: connection closed")
+        assert seconds < 3.0
 
 
 class TestTcpCarrier:
