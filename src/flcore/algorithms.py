@@ -11,8 +11,8 @@ take L local steps, and the server aggregates:
                broadcast w; the dual step runs independently on client AND
                server from the same inputs, so only z_p travels.
 
-All updates are pure functions: a kind's ``client_round`` takes a group's
-(z, lambda) and returns them, and the caller stores them and owns scheduling.
+All updates are pure functions: a kind's ``client_round`` takes and returns the
+stacked state its entry ``carries``, and the caller stores it and owns scheduling.
 The local updates take one client's vectors (m,) or a group's stacked (P, m):
 their element-wise steps broadcast, grad_fn returns gradients of the same
 shape, and a NumericError carries the row of the first non-finite client.
@@ -34,9 +34,10 @@ class Algorithm:
     """The facts about one algorithm kind that modules outside this one need."""
 
     vectors_up: int  # vectors per LOCAL_UPDATE: z, then lambda for ICEADMM
-    # (algo, rho_t, models, z, lam, epoch_batches, full_batch, grad_fn, clip_c, perturb) -> (payloads, z, lam):
-    # one group's local round; row p of each array, payloads[p] and perturb(p, v) (v noised) are client p's.
+    # (algo, rho_t, models, state, epoch_batches, full_batch, grad_fn, clip_c, perturb) -> (payloads, state): one
+    # group's round; state is a (P, m) stack per name in carries; row p, payloads[p] and perturb(p, v) are client p's.
     client_round: Callable
+    carries: tuple[str, ...]  # the worker attributes a round reads and writes back, in client_round's state order
     admm: bool  # uses rho/zeta; FedAvg uses eta/beta instead
     # In-process clients of equal data size share one stacked handle_group call.
     # Not ICEADMM: stacking its flops-bound full-batch step measured slower and bigger
@@ -258,12 +259,13 @@ def fedavg_global(z_list: Sequence[np.ndarray], weights: Sequence[float]) -> np.
     return acc
 
 
-def _fedavg_round(algo, rho_t, models, z, lam, epoch_batches, full_batch, grad_fn, clip_c, perturb):
+def _fedavg_round(algo, rho_t, models, state, epoch_batches, full_batch, grad_fn, clip_c, perturb):
     new_z = fedavg_local(models, algo.eta, algo.beta, algo.local_steps, epoch_batches, grad_fn, clip_c)
-    return [[perturb(p, row)] for p, row in enumerate(new_z)], z, lam
+    return [[perturb(p, row)] for p, row in enumerate(new_z)], ()
 
 
-def _iiadmm_round(algo, rho_t, models, z, lam, epoch_batches, full_batch, grad_fn, clip_c, perturb):
+def _iiadmm_round(algo, rho_t, models, state, epoch_batches, full_batch, grad_fn, clip_c, perturb):
+    (lam,) = state
     # One split per round, reused across the L local epochs.
     fixed = epoch_batches(0)
     new_z = iiadmm_local(models, lam, rho_t, algo.zeta, algo.local_steps, lambda epoch: fixed, grad_fn, clip_c)
@@ -271,22 +273,22 @@ def _iiadmm_round(algo, rho_t, models, z, lam, epoch_batches, full_batch, grad_f
     # Mirrored dual step: the server applies the same formula to the same
     # communicated (noised) value, so both sides stay bitwise equal.
     lam = [dual_update(lam[p], rho_t, models[p], z_out[p]) for p in range(len(models))]
-    return [[row] for row in z_out], z, lam
+    return [[row] for row in z_out], (lam,)
 
 
-def _iceadmm_round(algo, rho_t, models, z, lam, epoch_batches, full_batch, grad_fn, clip_c, perturb):
+def _iceadmm_round(algo, rho_t, models, state, epoch_batches, full_batch, grad_fn, clip_c, perturb):
     # Full batch; the noiseless z and lam carry over between rounds.
-    z, lam = iceadmm_local(z, lam, models, rho_t, algo.zeta, algo.local_steps, full_batch(), grad_fn, clip_c)
-    return [[perturb(p, z[p]), lam[p]] for p in range(len(models))], z, lam
+    z, lam = iceadmm_local(*state, models, rho_t, algo.zeta, algo.local_steps, full_batch(), grad_fn, clip_c)
+    return [[perturb(p, z[p]), lam[p]] for p in range(len(models))], (z, lam)
 
 
 ALGORITHMS = {
-    "fedavg": Algorithm(1, _fedavg_round, admm=False, stacks=True, sensitivity=lambda algo, c, rho_t: 2.0 * c * algo.eta),
+    "fedavg": Algorithm(1, _fedavg_round, (), admm=False, stacks=True, sensitivity=lambda algo, c, rho_t: 2.0 * c * algo.eta),
     "iceadmm": Algorithm(
-        2, _iceadmm_round, admm=True, stacks=False, sensitivity=lambda algo, c, rho_t: 2.0 * c / (rho_t + algo.zeta)
+        2, _iceadmm_round, ("z", "lam"), admm=True, stacks=False, sensitivity=lambda algo, c, rho_t: 2.0 * c / (rho_t + algo.zeta)
     ),
     "iiadmm": Algorithm(
-        1, _iiadmm_round, admm=True, stacks=True, sensitivity=lambda algo, c, rho_t: 2.0 * c / (rho_t + algo.zeta)
+        1, _iiadmm_round, ("lam",), admm=True, stacks=True, sensitivity=lambda algo, c, rho_t: 2.0 * c / (rho_t + algo.zeta)
     ),
 }
 ALGO_KINDS = tuple(ALGORITHMS)

@@ -155,8 +155,8 @@ def cmd_gradcheck(args) -> int:
     return 0
 
 
-# Kept so existing command lines still parse; clients with equal data size
-# already run as one stacked computation.
+# Kept so existing command lines still parse; a large in-process run already
+# spreads its clients over lane processes (transport.InProcessCarrier).
 _PARALLEL_HELP = "accepted for compatibility; no effect: in-process clients run in lane processes when the round is large (true/false)"
 
 

@@ -23,7 +23,7 @@ from .config import RunConfig, build_data, initial_model
 from .data import Dataset, deal
 from .errors import ConfigError, FlcoreError, NumericError, ProtocolError
 from .models import Batch, ModelSpec, loss_and_outputs, param_count
-# Unused here, but flbench/tracing.py patches these names in this module (ROADMAP item 3).
+# Unused here, but flbench/tracing.py patches these names in this module (ROADMAP item 16).
 from .models import loss_and_grad, predict  # noqa: F401
 from .privacy import dp_budget_report
 from .transport import HEADER_SIZE, InProcessCarrier, decode_vectors

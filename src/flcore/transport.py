@@ -269,7 +269,7 @@ def _run_parts(parts: list[list], round_num: int, w: np.ndarray) -> list:
 def _serve_lane(conn, parent: int) -> None:
     """A lane's loop.  Messages: a list of parts loads a run's chunk, None unloads it,
     and ``(round, w)`` runs a round and answers, per part, each worker's
-    ``(payloads, train loss, z, lambda)`` or the part's exception.  Ends when the pipe closes."""
+    ``(payloads, train loss, carried state)`` or the part's exception.  Ends when the pipe closes."""
     try:  # best effort: die with the parent, even a SIGKILLed one
         prctl = ctypes.CDLL(None, use_errno=True).prctl
         prctl.argtypes, prctl.restype = [ctypes.c_int] + [ctypes.c_ulong] * 4, ctypes.c_int
@@ -293,7 +293,7 @@ def _serve_lane(conn, parent: int) -> None:
             continue
         results = _run_parts(parts, *message)
         conn.send([
-            result if isinstance(result, Exception) else [(*update, w.z, w.lam) for w, update in zip(part, result)]
+            result if isinstance(result, Exception) else [(*update, w.carried) for w, update in zip(part, result)]
             for part, result in zip(parts, results)
         ])
 
@@ -388,9 +388,9 @@ class InProcessCarrier:
 
     * A lane runs flcore code as it was when the lane forked.
     * A lane's workers are copies taken at ``start``.  Each round the lane
-      gets the decoded w once and returns every worker's payloads, train
-      loss, z and lambda; z and lambda are written back into ``workers``,
-      as a TCP client keeps its own state and sends its payloads and loss.
+      gets the decoded w once and returns every worker's payloads, train loss
+      and the state its kind carries (``carried``), which is written back into
+      ``workers``, as a TCP client keeps its own state and sends its payloads and loss.
 
     Updates are bitwise those of a sequential run.  A failing round raises
     the error of the first failing group in the whole run's group order (of
@@ -416,6 +416,7 @@ class InProcessCarrier:
 
     def start(self, config: RunConfig) -> None:
         _check_client_count(len(self.workers), config)
+        self._own, self.lanes = self.groups, 1  # a reused carrier drops the last run's split
         settings = decode_join_ack(encode_join_ack(config))
         for worker in self.workers:
             worker.handle_join_ack(settings)
@@ -434,7 +435,7 @@ class InProcessCarrier:
     def _answers(self, lane: _Lane, parts: list[list]) -> list:
         """A lane's per-part (payloads, train loss) or exception for the round it was sent.
 
-        Writes its workers' z and lambda back.
+        Writes each worker's carried state back into its attributes.
         """
         try:
             reply = lane.conn.recv()
@@ -445,9 +446,9 @@ class InProcessCarrier:
         answers = []
         for part, answer in zip(parts, reply):
             if not isinstance(answer, Exception):
-                for worker, (_, _, z, lam) in zip(part, answer):
-                    worker.z, worker.lam = z, lam
-                answer = [(arrays, loss) for arrays, loss, _, _ in answer]
+                for worker, (_, _, state) in zip(part, answer):
+                    vars(worker).update(state)
+                answer = [(arrays, loss) for arrays, loss, _ in answer]
             answers.append(answer)
         return answers
 

@@ -7,11 +7,11 @@ hands each group of workers with equal ``group_key`` to
 computation per local step.  A lone worker is a group of one, so both
 carriers share one local-update path.  Each client also reports
 ``train_loss``, its loss at the z it sends, so the server never needs a
-client's rows.  A worker carries only its (z, lambda) from round to round;
-each epoch's mini-batches are shuffled into new arrays.  Every update a
-client produces is a pure function of (config, seed, client id, round),
-whichever group it runs in, which is what makes runs carrier-invariant and
-repeatable.
+client's rows.  A worker carries from round to round only the state its kind
+declares (``carried``); each epoch's mini-batches are shuffled into new
+arrays.  Every update a client produces is a pure function of (config, seed,
+client id, round), whichever group it runs in, which is what makes runs
+carrier-invariant and repeatable.
 """
 
 from __future__ import annotations
@@ -70,6 +70,11 @@ class ClientWorker:
         return perturb_output(z, noise, noise_stream(self.config.seed, self.client_id, round_num))
 
     @property
+    def carried(self) -> dict:
+        """The state this worker's kind carries between rounds, by attribute name: what a lane sends back."""
+        return {name: getattr(self, name) for name in algorithms.ALGORITHMS[self.config.algo.kind].carries}
+
+    @property
     def group_key(self) -> tuple:
         """In-process workers with equal keys run their rounds through one ``handle_group`` call.
 
@@ -96,7 +101,7 @@ class ClientWorker:
         """One local round for workers of equal ``group_key``, as one stacked computation.
 
         ``models`` holds each client's decoded w, one row per worker; the kind's
-        ``client_round`` runs on the group's stacked (z, lambda), then written
+        ``client_round`` runs on the stacked state it ``carries``, then written
         back.  One ``loss_and_grad`` call per local step serves every client;
         batches, noise and dual steps use each client's own streams and state,
         so each client's payloads, in worker order, are bitwise what it computes
@@ -109,7 +114,7 @@ class ClientWorker:
                 raise TransportError(f"client {worker.client_id} received a model before JOIN_ACK")
         client_ids = [worker.client_id for worker in workers]
         config = workers[0].config
-        algo, spec = config.algo, config.model
+        algo, spec, kind = config.algo, config.model, algorithms.ALGORITHMS[config.algo.kind]
         noise = algorithms.noise_spec(algo, config.privacy, round_num)
         clip = config.privacy.clip if config.privacy.enabled else None
 
@@ -124,14 +129,14 @@ class ClientWorker:
 
         one_thread()
         try:
-            payloads, z, lam = algorithms.ALGORITHMS[algo.kind].client_round(
-                algo, algo.rho_at(round_num), models, _stack([w.z for w in workers]), _stack([w.lam for w in workers]),
+            payloads, state = kind.client_round(
+                algo, algo.rho_at(round_num), models, [_stack([getattr(w, name) for w in workers]) for name in kind.carries],
                 epoch_batches, full_batch, grad, clip, lambda p, v: workers[p]._perturb(v, round_num, noise),
             )
         except NumericError as exc:  # the caller names the round
             raise NumericError(f"client {client_ids[exc.row]}: {exc}") from exc
         for p, worker in enumerate(workers):
-            worker.z, worker.lam = z[p], lam[p]
+            vars(worker).update((name, stack[p]) for name, stack in zip(kind.carries, state))
         return payloads
 
 

@@ -5,6 +5,8 @@ from hypothesis import strategies as st
 
 from flcore import rng
 from flcore.algorithms import (
+    ALGO_KINDS,
+    ALGORITHMS,
     AlgoConfig,
     dual_update,
     fedavg_global,
@@ -199,6 +201,19 @@ class TestFedavgReduction:
         iceadmm_z, _ = iceadmm_local(w.copy(), np.zeros(m), w, 1.0 / eta, 0.0, 1, None, grad_fn)
         np.testing.assert_allclose(iiadmm, fedavg, atol=1e-12)
         np.testing.assert_allclose(iceadmm_z, fedavg, atol=1e-12)
+
+
+@pytest.mark.parametrize("kind", ALGO_KINDS)
+def test_client_round_returns_one_stack_per_carried_name(kind):
+    entry, (clients, m) = ALGORITHMS[kind], (3, 5)
+    gen = rng.stream("t-carries", kind)
+    state = [gen.normal(size=(clients, m)) for _ in entry.carries]
+    payloads, out = entry.client_round(
+        AlgoConfig(kind, local_steps=2), 1.0, gen.normal(size=(clients, m)), state, lambda epoch: ONE_BATCH,
+        lambda: ONE_BATCH[0], lambda z, batch: 0.5 * z, None, lambda p, v: v,
+    )
+    assert [len(arrays) for arrays in payloads] == [entry.vectors_up] * clients
+    assert len(out) == len(entry.carries) and all(np.shape(stack) == (clients, m) for stack in out)
 
 
 class TestAlgoConfig:

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 from flcore import transport
 from flcore.config import parse_config, shared_settings
 from flcore.errors import ConfigError, NumericError, ProtocolError, TransportError
+from flcore.models import param_count
 from flcore.transport import (
     DONE,
     ERROR,
@@ -551,6 +552,37 @@ class TestConcurrentGroups:
         with pytest.raises(TransportError, match=r"^round 2: the lane process running clients \[1\] ended"):
             run_with_threshold(monkeypatch, lone_iceadmm_config(), 0, kill_first_lane)
         assert not transport._LIVE and not has_children()  # the failed run reaped its dead lane and killed the other
+
+    @pytest.mark.parametrize("make_config", [uneven_iiadmm_config, fedavg_config])
+    def test_lanes_send_back_only_the_state_the_kind_carries(self, monkeypatch, make_config):
+        # FedAvg carries nothing and IIADMM only lambda: a worker's other state stays the object JOIN_ACK set.
+        monkeypatch.setattr(transport, "LANE_WORK", 0)
+        cfg = make_config()
+        carrier = transport.InProcessCarrier(build_workers(cfg))
+        carrier.start(cfg)
+        try:
+            joined = [(worker.z, worker.lam) for worker in carrier.workers]
+            for round_num in (1, 2):
+                carrier.broadcast_model(round_num, np.full(param_count(cfg.model), 0.1))
+        finally:
+            carrier.finish()
+        assert carrier.lanes == 3
+        for worker, (z, lam) in zip(carrier.workers, joined):
+            assert worker.z is z
+            assert (worker.lam is lam) == (cfg.algo.kind == "fedavg")
+
+    def test_reused_carrier_forgets_the_last_runs_lanes(self, monkeypatch):
+        cfg = fedavg_config()
+        carrier = transport.InProcessCarrier(build_workers(cfg))
+        monkeypatch.setattr(transport, "LANE_WORK", 0)
+        train(cfg, carrier=carrier)
+        assert carrier.lanes == 3
+        monkeypatch.setattr(transport, "LANE_WORK", float("inf"))  # the next run stays in this process
+        again = train(cfg, carrier=carrier)
+        fresh = train(cfg)
+        assert carrier.lanes == 1
+        assert [metrics_line(m) for m in again.metrics] == [metrics_line(m) for m in fresh.metrics]
+        assert again.final_w.tobytes() == fresh.final_w.tobytes()
 
     @pytest.mark.parametrize(
         "workload, processes", [("dispatch-mlp", 3), ("fullbatch-iceadmm", 2), ("wide-tcp", 2), ("light", 1)]

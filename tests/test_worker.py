@@ -292,6 +292,7 @@ class TestGroups:
     def test_group_equals_alone_bitwise(self, model, algo, clip, data):
         cfg = group_config(model, algo, clip, data)
         grouped, alone = joined_workers(cfg), joined_workers(cfg)
+        joined = [(worker.z, worker.lam) for worker in grouped + alone]
         sizes = [w.local.size for w in grouped]
         groups = InProcessCarrier(grouped).groups
         if data == "equal":
@@ -310,6 +311,9 @@ class TestGroups:
                     assert np.array_equal(a, b), f"round {round_num}, client {worker.client_id}"
             for g, a in zip(grouped, alone):
                 assert np.array_equal(g.lam, a.lam), f"round {round_num}, client {g.client_id} dual"
+        # FedAvg carries nothing and IIADMM only lambda: the rest is never stacked and stays the object JOIN_ACK set.
+        for worker, (z, lam) in zip(grouped + alone, joined):
+            assert worker.z is z and (worker.lam is lam) == (algo == "fedavg")
 
     def test_iceadmm_clients_stay_alone(self):
         cfg = group_config("softmax", "iceadmm", 1.0, "equal")
