@@ -35,7 +35,8 @@ class Algorithm:
 
     vectors_up: int  # vectors per LOCAL_UPDATE: z, then lambda for ICEADMM
     # (algo, rho_t, models, state, epoch_batches, full_batch, grad_fn, clip_c, perturb) -> (payloads, state): one
-    # group's round; state is a (P, m) stack per name in carries; row p, payloads[p] and perturb(p, v) are client p's.
+    # group's round; state holds a (P, m) stack (its rows, on return) per name in carries; row p, payloads[p] and
+    # perturb(p, v) are client p's.
     client_round: Callable
     carries: tuple[str, ...]  # the worker attributes a round reads and writes back, in client_round's state order
     admm: bool  # uses rho/zeta; FedAvg uses eta/beta instead
@@ -279,6 +280,8 @@ def _iiadmm_round(algo, rho_t, models, state, epoch_batches, full_batch, grad_fn
 def _iceadmm_round(algo, rho_t, models, state, epoch_batches, full_batch, grad_fn, clip_c, perturb):
     # Full batch; the noiseless z and lam carry over between rounds.
     z, lam = iceadmm_local(*state, models, rho_t, algo.zeta, algo.local_steps, full_batch(), grad_fn, clip_c)
+    # One row object per client, shared by its payload and its carried state, so a lane reply pickles each once.
+    z, lam = list(z), list(lam)
     return [[perturb(p, z[p]), lam[p]] for p in range(len(models))], (z, lam)
 
 

@@ -150,11 +150,21 @@ def _outputs(layers: list[tuple[np.ndarray, np.ndarray]], x: np.ndarray) -> list
     """Forward pass over a stack: the input of every layer, then the output (P, n, fan_out).
 
     Each layer's pre-activation is built in one buffer, and a hidden layer
-    is rectified in it; the backward pass reads these buffers.
+    is rectified in it; the backward pass reads these buffers.  A layer with
+    one output multiplies each client's rows through ``np.dot``: it runs the
+    same BLAS gemv as ``np.matmul``, bitwise, but releases the GIL, which
+    ``np.matmul``'s gemv path holds; so clients that share a process (TCP
+    client threads) run these products in parallel.  Every other product
+    takes ``np.matmul``'s gemm path, which releases the GIL already.
     """
     acts = [x]
     for i, (w, b) in enumerate(layers):
-        a = np.matmul(acts[-1], _t(w))
+        if w.shape[-2] == 1:
+            a = np.empty((*acts[-1].shape[:-1], 1))
+            for p in range(len(a)):
+                np.dot(acts[-1][p], w[p, 0], out=a[p, :, 0])
+        else:
+            a = np.matmul(acts[-1], _t(w))
         a += b[:, None, :]
         if i < len(layers) - 1:
             np.maximum(a, 0.0, out=a)

@@ -3,7 +3,8 @@
 Each round: broadcast w, gather every client's update in id order, apply the
 dual step (IIADMM) and then the global aggregate, gather the train loss each
 client reports, validate, append one metrics line.  The server reads no
-client's training rows: it deals them only to build in-process workers.  The
+client's training rows: it deals them only to build in-process workers, and
+with a caller's carrier it keeps only a copy of its test split.  The
 metrics file is a deterministic record: with a fixed config and seed, two
 runs (on either carrier) produce byte-identical files, so the file's timing
 keys are written as 0.0; ``flbench/`` measures timings.
@@ -101,6 +102,9 @@ def train(
 
         if carrier is None:
             carrier = InProcessCarrier([ClientWorker(config, cid, rows) for cid, rows in enumerate(deal(train_data, shards))])
+        else:  # no rows to deal: copy the test split out, so the build buffer and its training rows are freed
+            test_data = Dataset(test_data.inputs.copy(), test_data.labels.copy())
+        del train_data, shards
 
         dp_report = dp_budget_report(config.privacy, noise_spec(config.algo, config.privacy, 1), config.algo.rounds)
         record = RunRecord(metrics=[], final_w=w, dp_report=dp_report)

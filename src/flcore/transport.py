@@ -291,11 +291,15 @@ def _serve_lane(conn, parent: int) -> None:
         if message is None or isinstance(message, list):
             parts = message or []
             continue
-        results = _run_parts(parts, *message)
-        conn.send([
-            result if isinstance(result, Exception) else [(*update, w.carried) for w, update in zip(part, result)]
-            for part, result in zip(parts, results)
-        ])
+        conn.send(_lane_reply(parts, _run_parts(parts, *message)))
+
+
+def _lane_reply(parts: list[list], results: list) -> list:
+    """Per part, each worker's ``(payloads, train loss, carried state)``, or the part's exception."""
+    return [
+        result if isinstance(result, Exception) else [(*update, w.carried) for w, update in zip(part, result)]
+        for part, result in zip(parts, results)
+    ]
 
 
 class _Lane:

@@ -6,11 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flcore import rng
-from flcore.data import Dataset
+from flcore.data import Dataset, deal
+from flcore.data import batches as data_batches
 from flcore.errors import ConfigError, NumericError, ShapeError
 from flcore.models import (
     Batch,
     ModelSpec,
+    _layers,
     grad_check,
     init_params,
     loss_and_grad,
@@ -233,6 +235,87 @@ class TestForwardOnly:
         with pytest.raises(NumericError) as err:
             loss_and_outputs(LINREG, np.zeros((3, param_count(LINREG))), Batch(x, np.zeros((3, 2))))
         assert err.value.row == 1
+
+
+def matmul_reference(spec, params, x, labels):
+    """Losses (P,), outputs and gradients (P, m) of a stack, with ``np.matmul`` for every product.
+
+    The stacked kernel's forward pass, loss head and backward pass, step for
+    step, with no ``np.dot`` for one-output layers.
+    """
+    layers = _layers(spec, params)
+    acts = [x]
+    for i, (w, b) in enumerate(layers):
+        a = np.matmul(acts[-1], w.swapaxes(-1, -2))
+        a += b[:, None, :]
+        if i < len(layers) - 1:
+            np.maximum(a, 0.0, out=a)
+        acts.append(a)
+    n = x.shape[-2]
+    onehot = None
+    if spec.is_classifier:
+        onehot = labels[..., None] == np.arange(spec.output_dim)
+        shifted = acts[-1] - acts[-1].max(axis=-1, keepdims=True)
+        delta = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+        loss, out = -delta[onehot].reshape(labels.shape).sum(axis=-1) / n, acts[-1]
+        delta = (np.exp(delta) - onehot) / n
+    else:
+        out = acts[-1][..., 0]
+        resid = out - labels
+        loss, delta = 0.5 * (resid[:, None, :] @ resid[..., None])[:, 0, 0] / n, resid[..., None]
+    grad = np.empty(params.shape)
+    for i, (gw, gb) in reversed(list(enumerate(_layers(spec, grad)))):
+        np.matmul(delta.swapaxes(-1, -2), acts[i], out=gw)
+        gb[...] = delta.sum(axis=-2)
+        if i:
+            mask = acts[i] > 0.0
+            delta = np.matmul(delta, layers[i][0]) * mask
+    if onehot is None:
+        grad /= n
+    return loss, out, grad
+
+
+class TestOneOutputLayers:
+    """One-output layers multiply through ``np.dot``; every result stays bitwise the ``np.matmul`` one."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        kind=st.sampled_from(["linear-regression", "softmax", "mlp1", "mlp1-one-hidden"]),
+        clients=st.integers(1, 4),
+        n=st.integers(1, 64),
+        d=st.integers(1, 5000),
+        layout=st.sampled_from(["batches", "deal"]),
+        seed=st.integers(0, 10_000),
+    )
+    def test_equal_to_matmul_reference_bitwise(self, kind, clients, n, d, layout, seed):
+        base = "mlp1" if kind.startswith("mlp1") else kind
+        spec = ModelSpec(base, d, 1 if base == "linear-regression" else 3, {"mlp1": 3, "mlp1-one-hidden": 1}.get(kind, 0))
+        gen = np.random.default_rng(seed)
+        params = gen.normal(size=(clients, param_count(spec)))
+        labels = gen.integers(0, 3, clients * n) if spec.is_classifier else gen.normal(size=clients * n)
+        rows = Dataset(gen.normal(size=(clients * n, d)), labels.astype(np.float64))
+        views = deal(rows, np.array_split(np.arange(clients * n), clients))
+        if layout == "batches":
+            # Views of one (P, n, d) stack, the last batch possibly ragged, as a group's mini-batches are.
+            stacks = data_batches(views, max(1, n // 2 + 1), seed, list(range(clients)), 1, 1)
+        else:
+            # Each client's rows as dealt views; the stacked call copies them into one stack, as full_batch does.
+            stacks = [Batch(np.stack([v.inputs for v in views]), np.stack([v.labels for v in views]))]
+        for batch in stacks:
+            ref_loss, ref_out, ref_grad = matmul_reference(spec, params, batch.inputs, batch.labels)
+            losses, grads = loss_and_grad(spec, params, batch)
+            assert np.array_equal(losses, ref_loss) and np.array_equal(grads, ref_grad)
+            losses, outputs = loss_and_outputs(spec, params, batch)
+            assert np.array_equal(losses, ref_loss) and np.array_equal(outputs, ref_out)
+            for p in range(clients):
+                x = batch.inputs[p] if layout == "batches" else views[p].inputs
+                one = Batch(x, batch.labels[p])
+                loss, grad = loss_and_grad(spec, params[p], one)
+                assert loss == ref_loss[p] and np.array_equal(grad, ref_grad[p])
+                loss, out = loss_and_outputs(spec, params[p], one)
+                assert loss == ref_loss[p] and np.array_equal(out, ref_out[p])
+                want = np.argmax(ref_out[p], axis=-1) if spec.is_classifier else ref_out[p]
+                assert np.array_equal(predict(spec, params[p], x), want)
 
 
 class TestPredict:

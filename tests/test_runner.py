@@ -3,6 +3,7 @@ import json
 import math
 import socket
 import threading
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -257,7 +258,7 @@ OVERFLOWING_STEP = {
 }
 
 
-def run_over_tcp(cfg, metrics_path=None):
+def run_over_tcp(cfg, metrics_path=None, on_round_end=None):
     """``train`` over localhost TCP with one ``run_client`` thread per client; the clients' own errors are dropped."""
     carrier = TcpServerCarrier("127.0.0.1:0", cfg.clients, handshake_timeout_s=30.0)
 
@@ -271,7 +272,7 @@ def run_over_tcp(cfg, metrics_path=None):
     for t in threads:
         t.start()
     try:
-        return train(cfg, carrier=carrier, metrics_path=metrics_path)
+        return train(cfg, carrier=carrier, metrics_path=metrics_path, on_round_end=on_round_end)
     finally:
         for t in threads:
             t.join(timeout=30.0)
@@ -390,6 +391,23 @@ class TestServerHoldsNoClientRows:
         monkeypatch.setattr(runner, "deal", refuse)
         run_over_tcp(cfg, str(tmp_path / "tcp.jsonl"))
         assert (tmp_path / "tcp.jsonl").read_bytes() == inproc
+
+    def test_tcp_server_frees_the_build_buffer(self, monkeypatch):
+        cfg = dealt_config("label-shards")
+        buffers = []
+
+        def build(config):
+            train_data, test_data, shards = build_data(config)
+            root = train_data.inputs
+            while root.base is not None:
+                root = root.base
+            buffers.append(weakref.ref(root))
+            return train_data, test_data, shards
+
+        monkeypatch.setattr(runner, "build_data", build)
+        freed = []
+        run_over_tcp(cfg, on_round_end=lambda t, w, duals, carrier: freed.append(buffers[0]() is None))
+        assert len(buffers) == 1 and freed[0]
 
     @pytest.mark.parametrize("workload", sorted(WORKLOADS))
     def test_shard_weights_equal_view_weights(self, workload):

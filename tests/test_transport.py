@@ -9,6 +9,7 @@ import subprocess
 import sys
 import threading
 import time
+from multiprocessing.reduction import ForkingPickler
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -597,6 +598,27 @@ class TestConcurrentGroups:
         finally:
             carrier.finish()
         assert len(transport._IDLE) == processes - 1
+
+
+class TestLaneReply:
+    def test_iceadmm_reply_pickles_lambda_once(self):
+        cfg = lone_iceadmm_config()
+        workers = build_workers(cfg)
+        settings = decode_join_ack(encode_join_ack(cfg))
+        for worker in workers:
+            worker.handle_join_ack(settings)
+        parts = [[worker] for worker in workers]
+        results = transport._run_parts(parts, 1, workers[0].z.copy())
+        for part, [(payloads, _)] in zip(parts, results):
+            assert payloads[1] is part[0].lam
+        reply = transport._lane_reply(parts, results)
+        # The same reply with each carried vector a copy of its own, as if nothing were shared.
+        unshared = [
+            [(arrays, loss, {name: v.copy() for name, v in state.items()}) for arrays, loss, state in answer]
+            for answer in reply
+        ]
+        size = len(ForkingPickler.dumps(reply))
+        assert len(ForkingPickler.dumps(unshared)) - size >= 8 * param_count(cfg.model) * len(workers)
 
 
 @needs_lanes
