@@ -5,13 +5,13 @@ m, summed over clients (m: the model's parameter count).  The config runs
 with the threshold forced to infinity (sequential) and to 0 (lanes: K =
 min(usable CPUs, clients) processes), alternating, and the median
 milliseconds per round of each side are printed, round 1 of every repeat
-left out.  Lanes are forked afresh for every row, and each lane's memory is
+left out.  Each run forks its own lanes, and each lane's memory is
 printed, because it is not in the parent's ``ru_maxrss``: its peak RSS
 (VmHWM), which counts the pages it shares with the parent it forked from,
-and its private pages at the end of the row (smaps_rollup), both read from
-/proc on Linux.  Both sides run their client rounds on one BLAS thread.
-The last two rows are the in-process benchmark workloads, read from
-flbench/workloads.json.  Run from the repository root:
+and its private pages (smaps_rollup), both read from /proc on Linux at the
+last round of the row's last run with lanes.  Both sides run their client
+rounds on one BLAS thread.  The last two rows are the in-process benchmark
+workloads, read from flbench/workloads.json.  Run from the repository root:
 
     python3 scripts/group_concurrency_sweep.py [--repeats 5] [--rounds 8]
 """
@@ -79,12 +79,19 @@ def workload(name: str, rounds: int):
     return parse_config({**raw, "algo": {**raw["algo"], "rounds": rounds}, "run": {**raw["run"], "seed": 0}})
 
 
-def round_ms(cfg, threshold: float) -> list[float]:
-    """Milliseconds of rounds 2.. of one run with the lane threshold set."""
+def round_ms(cfg, threshold: float) -> tuple[list[float], list[dict[str, float]]]:
+    """Milliseconds of rounds 2.. of one run with the lane threshold set, and each lane's memory at its last round."""
     transport.LANE_WORK = threshold
     ends = [time.perf_counter()]
-    train(cfg, on_round_end=lambda *_: ends.append(time.perf_counter()))
-    return [1e3 * (b - a) for a, b in zip(ends[1:], ends[2:])]
+    memory = []
+
+    def on_round_end(t, w, duals, carrier):
+        ends.append(time.perf_counter())
+        if t == cfg.algo.rounds:
+            memory.extend(lane_memory_mb(lane.pid) for lane, _ in carrier._lanes)
+
+    train(cfg, on_round_end=on_round_end)
+    return [1e3 * (b - a) for a, b in zip(ends[1:], ends[2:])], memory
 
 
 def lane_memory_mb(pid: int) -> dict[str, float]:
@@ -107,16 +114,15 @@ def main() -> None:
     for name, cfg in rows:
         m = param_count(cfg.model)
         work = build_data(cfg)[0].size * cfg.algo.local_steps * m
-        transport.close_lanes()
         times: dict[str, list[float]] = {"sequential": [], "lanes": []}
         for _ in range(args.repeats):
-            times["sequential"] += round_ms(cfg, float("inf"))
-            times["lanes"] += round_ms(cfg, 0)
+            times["sequential"] += round_ms(cfg, float("inf"))[0]
+            ms, lane_mb = round_ms(cfg, 0)
+            times["lanes"] += ms
         medians = {side: round(statistics.median(ms), 2) for side, ms in times.items()}
         print(json.dumps({"row": name, "m": m, "work": work, "ms_per_round": medians,
                           "lanes_faster": medians["lanes"] < medians["sequential"],
-                          "lane_mb": [lane_memory_mb(lane.pid) for lane in transport._LIVE]}), flush=True)
-    transport.close_lanes()
+                          "lane_mb": lane_mb}), flush=True)
 
 
 if __name__ == "__main__":

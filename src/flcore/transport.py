@@ -21,8 +21,8 @@ each client compares with its own before it answers a round.
 The in-process carrier hands over the same encoded payloads in memory, without
 frame headers, so both carriers decode the same values and count the same bytes;
 it hands over each client's train loss as the float itself.
-A large in-process run spreads its clients over lane processes, forked once
-per process and pooled between runs (``InProcessCarrier``, ``close_lanes``).
+A large in-process run spreads its clients over lane processes, forked at the
+run's start and killed and reaped at its end (``InProcessCarrier``).
 
 Rounds are synchronous: the server sends GLOBAL_MODEL to every client, then
 reads exactly one frame per client, in id order, from that client's own
@@ -36,7 +36,6 @@ carrier's timeout, and each round's reads by one round deadline (``run.timeout_s
 
 from __future__ import annotations
 
-import atexit
 import ctypes
 import json
 import logging
@@ -266,10 +265,9 @@ def _run_parts(parts: list[list], round_num: int, w: np.ndarray) -> list:
     return results
 
 
-def _serve_lane(conn, parent: int) -> None:
-    """A lane's loop.  Messages: a list of parts loads a run's chunk, None unloads it,
-    and ``(round, w)`` runs a round and answers, per part, each worker's
-    ``(payloads, train loss, carried state)`` or the part's exception.  Ends when the pipe closes."""
+def _serve_lane(conn, parent: int, parts: list[list]) -> None:
+    """A lane's loop: each ``(round, w)`` message runs a round of ``parts`` and answers, per part,
+    each worker's ``(payloads, train loss, carried state)`` or the part's exception.  Ends when the pipe closes."""
     try:  # best effort: die with the parent, even a SIGKILLed one
         prctl = ctypes.CDLL(None, use_errno=True).prctl
         prctl.argtypes, prctl.restype = [ctypes.c_int] + [ctypes.c_ulong] * 4, ctypes.c_int
@@ -282,15 +280,11 @@ def _serve_lane(conn, parent: int) -> None:
     fd = conn.fileno()
     os.closerange(3, fd)
     os.closerange(fd + 1, os.sysconf("SC_OPEN_MAX"))
-    parts: list = []
     while True:
         try:
             message = conn.recv()
         except EOFError:
             return
-        if message is None or isinstance(message, list):
-            parts = message or []
-            continue
         conn.send(_lane_reply(parts, _run_parts(parts, *message)))
 
 
@@ -303,71 +297,33 @@ def _lane_reply(parts: list[list], results: list) -> list:
 
 
 class _Lane:
-    """One forked lane process and the parent's end of its pipe."""
+    """A lane process, forked to run ``parts``, and the parent's end of its pipe."""
 
-    def __init__(self):
+    def __init__(self, parts: list[list]):
         parent = os.getpid()
         self.conn, child = multiprocessing.Pipe()
         self.pid = os.fork()
         if self.pid == 0:  # the lane: it leaves only through os._exit
             status = 1
             try:
-                _serve_lane(child, parent)
+                _serve_lane(child, parent, parts)
                 status = 0
             except Exception:
                 traceback.print_exc()
             finally:
                 os._exit(status)
         child.close()
-        _LIVE.append(self)
 
     def stop(self) -> None:
         """Kill and reap the lane; a no-op once done."""
-        if self not in _LIVE:
+        if self.conn.closed:
             return
-        _LIVE.remove(self)
         self.conn.close()
         try:
             os.kill(self.pid, signal.SIGKILL)
             os.waitpid(self.pid, 0)
         except (ProcessLookupError, ChildProcessError):  # reaped by someone else
             pass
-
-
-_IDLE: list[_Lane] = []  # lanes between runs, each ready to load a chunk
-_LIVE: list[_Lane] = []  # every lane this process forked and has not reaped
-
-
-def _loaded_lane(parts: list[list]) -> _Lane:
-    """A lane holding ``parts``: an idle one that still takes messages, else a new fork."""
-    while _IDLE:
-        lane = _IDLE.pop()
-        try:
-            lane.conn.send(parts)
-            return lane
-        except OSError:  # it died while idle
-            lane.stop()
-    lane = _Lane()
-    lane.conn.send(parts)
-    return lane
-
-
-def close_lanes() -> None:
-    """Kill and reap every lane process; a later run that needs lanes forks new ones.  Runs at exit."""
-    _IDLE.clear()
-    while _LIVE:
-        _LIVE[-1].stop()
-
-
-def _forget_lanes() -> None:
-    # In a forked child the parent's lanes are not the child's to use or reap.
-    _IDLE.clear()
-    _LIVE.clear()
-
-
-atexit.register(close_lanes)
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_lanes)
 
 
 class InProcessCarrier:
@@ -385,15 +341,14 @@ class InProcessCarrier:
     LANE_WORK, ``start`` cuts the clients, in id order, into K = min(usable
     CPUs, clients) runs of about equal rows and groups each run by
     ``group_key``.  The calling process runs the first; K - 1 lane processes
-    run the rest, each round on one BLAS thread.  A lane is forked once per
-    process: ``finish`` returns it to a pool for the next run, ``close`` (a
-    failed run) kills it, and exit kills and reaps the pool
-    (``close_lanes``).  On Linux a lane dies with its parent, even a SIGKILLed one.
+    run the rest, each round on one BLAS thread.  ``start`` forks each lane
+    for its run, and ``finish`` or ``close`` kills and reaps it.  On Linux a
+    lane dies with its parent, even a SIGKILLed one.
 
-    * A lane runs flcore code as it was when the lane forked.
-    * A lane's workers are copies taken at ``start``.  Each round the lane
-      gets the decoded w once and returns every worker's payloads, train loss
-      and the state its kind carries (``carried``), which is written back into
+    * A lane's workers are the clients as they were at ``start``, after
+      JOIN_ACK, inherited through the fork.  Each round the lane gets the
+      decoded w once and returns every worker's payloads, train loss and the
+      state its kind carries (``carried``), which is written back into
       ``workers``, as a TCP client keeps its own state and sends its payloads and loss.
 
     Updates are bitwise those of a sequential run.  A failing round raises
@@ -432,7 +387,7 @@ class InProcessCarrier:
                 self._own, self.lanes = own, k
                 try:
                     for parts in rest:
-                        self._lanes.append((_loaded_lane(parts), parts))
+                        self._lanes.append((_Lane(parts), parts))
                 except OSError as exc:  # no fork or pipe to be had; ``close`` kills the lanes started
                     raise TransportError(f"could not start a lane process: {exc}") from exc
 
@@ -487,21 +442,13 @@ class InProcessCarrier:
         losses, self._pending = [loss for _, loss in self._pending], []
         return losses
 
-    def finish(self) -> None:
-        """Unload every lane back into the pool."""
-        lanes, self._lanes = self._lanes, []
-        for lane, _ in lanes:
-            try:
-                lane.conn.send(None)
-                _IDLE.append(lane)
-            except OSError:  # it died after its last answer
-                lane.stop()
-
     def close(self) -> None:
-        """Kill this run's lanes: after a failure one may still owe a round's answer."""
+        """Kill and reap this run's lanes."""
         lanes, self._lanes = self._lanes, []
         for lane, _ in lanes:
             lane.stop()
+
+    finish = close
 
 
 # --- TCP carrier ------------------------------------------------------------

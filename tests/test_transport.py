@@ -43,7 +43,7 @@ from flcore.transport import (
     payload_size,
 )
 from flcore.runner import metrics_line, train
-from flcore.worker import build_workers
+from flcore.worker import ClientWorker, build_workers
 
 GOLDEN_DONE = bytes.fromhex("464c4d50" "01" "04" "00000000" "00000000" "0000000000000000")
 
@@ -378,14 +378,15 @@ class Sleeper:
 
     def handle_global(self, round_num, w):
         if os.getpid() == PARENT:
-            print(*[lane.pid for lane in transport._LIVE], flush=True)
+            print(*[lane.pid for lane, _ in carrier._lanes], flush=True)
         else:
             time.sleep(60)
         return [w]
 
 
 config = parse_config({"run": {"clients": 2}})
-train(config, carrier=transport.InProcessCarrier([Sleeper(0), Sleeper(1)]))
+carrier = transport.InProcessCarrier([Sleeper(0), Sleeper(1)])
+train(config, carrier=carrier)
 """
 # A round of 8 rows x 1 step x 100,000 parameters, as acceptance 06's widest: below LANE_WORK.
 LIGHT = {
@@ -449,7 +450,7 @@ def run_with_threshold(monkeypatch, cfg, threshold, on_round_end=None, workers=N
     try:
         return train(cfg, carrier=carrier, on_round_end=hook), processes
     finally:
-        assert transport._IDLE == transport._LIVE  # every surviving lane went back to the pool
+        assert not has_children()  # every lane of the run was killed and reaped
 
 
 def has_children() -> bool:
@@ -481,11 +482,10 @@ needs_lanes = pytest.mark.skipif(
 
 @pytest.fixture
 def three_cpus(monkeypatch):
-    """Three usable CPUs, so three-client runs use two lanes whatever the host has; fresh lanes for each test."""
+    """Three usable CPUs, so three-client runs use two lanes whatever the host has; no lane outlives the test."""
     monkeypatch.setattr(transport, "_usable_cpus", lambda: 3)
-    transport.close_lanes()
     yield
-    transport.close_lanes()
+    assert not has_children()
 
 
 @needs_lanes
@@ -498,10 +498,18 @@ class TestConcurrentGroups:
             sizes = [len(group) * group[0].local.size for group in transport.InProcessCarrier(build_workers(cfg)).groups]
             assert sizes == [31, 60]
         sequential, never = run_with_threshold(monkeypatch, cfg, float("inf"))
-        pooled, always = run_with_threshold(monkeypatch, cfg, 0)
+        forked, always = run_with_threshold(monkeypatch, cfg, 0)
         assert never == [1] * 3 and always == [3] * 3
-        assert [metrics_line(m) for m in pooled.metrics] == [metrics_line(m) for m in sequential.metrics]
-        assert pooled.final_w.tobytes() == sequential.final_w.tobytes()
+        assert [metrics_line(m) for m in forked.metrics] == [metrics_line(m) for m in sequential.metrics]
+        assert forked.final_w.tobytes() == sequential.final_w.tobytes()
+
+    def test_a_lane_runs_its_own_runs_code(self, monkeypatch):
+        cfg = fedavg_config()
+        run_with_threshold(monkeypatch, cfg, 0)
+        monkeypatch.setattr(ClientWorker, "train_loss", lambda self, z: 7.0)
+        again, processes = run_with_threshold(monkeypatch, cfg, 0)
+        assert processes == [3] * 3
+        assert [m.train_loss for m in again.metrics] == [7.0] * 3
 
     def test_server_duals_equal_the_lane_workers_lambda(self, monkeypatch):
         checked = []
@@ -552,7 +560,7 @@ class TestConcurrentGroups:
 
         with pytest.raises(TransportError, match=r"^round 2: the lane process running clients \[1\] ended"):
             run_with_threshold(monkeypatch, lone_iceadmm_config(), 0, kill_first_lane)
-        assert not transport._LIVE and not has_children()  # the failed run reaped its dead lane and killed the other
+        assert not has_children()  # the failed run reaped its dead lane and killed the other
 
     @pytest.mark.parametrize("make_config", [uneven_iiadmm_config, fedavg_config])
     def test_lanes_send_back_only_the_state_the_kind_carries(self, monkeypatch, make_config):
@@ -597,7 +605,7 @@ class TestConcurrentGroups:
             assert carrier.lanes == processes
         finally:
             carrier.finish()
-        assert len(transport._IDLE) == processes - 1
+        assert not has_children()
 
 
 class TestLaneReply:
@@ -624,35 +632,6 @@ class TestLaneReply:
 @needs_lanes
 @pytest.mark.usefixtures("three_cpus")
 class TestLaneLifecycle:
-    def test_close_lanes_reaps_every_lane(self, monkeypatch):
-        run_with_threshold(monkeypatch, lone_iceadmm_config(), 0)
-        pids = [lane.pid for lane in transport._LIVE]
-        assert len(pids) == 2 and all(int(stat(pid)[1]) == os.getpid() for pid in pids)
-        transport.close_lanes()
-        assert not has_children() and not transport._LIVE and not transport._IDLE
-
-    def test_lane_killed_while_idle_is_replaced(self, monkeypatch):
-        cfg = lone_iceadmm_config()
-        first, _ = run_with_threshold(monkeypatch, cfg, 0)
-        dead = transport._IDLE[-1].pid
-        os.kill(dead, signal.SIGKILL)
-        os.waitid(os.P_PID, dead, os.WEXITED | os.WNOWAIT)
-        again, processes = run_with_threshold(monkeypatch, cfg, 0)
-        assert processes == [3] * 3 and dead not in [lane.pid for lane in transport._LIVE]
-        assert [metrics_line(m) for m in again.metrics] == [metrics_line(m) for m in first.metrics]
-
-    def test_forked_child_leaves_the_parents_lanes_alone(self, monkeypatch):
-        run_with_threshold(monkeypatch, lone_iceadmm_config(), 0)
-        pids = [lane.pid for lane in transport._LIVE]
-        child = os.fork()
-        if child == 0:  # a child that exits through atexit would otherwise reap its parent's lanes
-            try:
-                transport.close_lanes()
-            finally:
-                os._exit(0)
-        assert os.waitpid(child, 0)[1] == 0
-        assert not any(gone(pid) for pid in pids) and [lane.pid for lane in transport._LIVE] == pids
-
     def test_lanes_die_with_a_killed_parent(self):
         command = [sys.executable, "-c", KILLED_PARENT, str(SRC)]
         proc = subprocess.Popen(command, stdout=subprocess.PIPE, text=True)
